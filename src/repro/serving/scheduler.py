@@ -1,15 +1,19 @@
-"""The online scheduler: admission queue, batch co-planning, drift
-replanning.
+"""The serving request lifecycle and the single-leader online scheduler.
 
-One :class:`OnlineScheduler` drives one open-loop request stream
-through one cluster under one strategy.  The control loop is:
+:class:`ServingRun` is one serving run's request lifecycle, shared by
+both schedulers: fault arming, admission (the source process and the
+control plane's door), routing, execution, retry/shed on device loss,
+the control driver, settlement, checkpoint/resume and the
+:class:`ServingResult`.  A scheduler adds only its dispatchers -- the
+policy that turns queued requests into planned dispatches.
 
-1. A source process feeds arrivals into the admission queue at their
-   scheduled times.
-2. The dispatcher drains the queue into a backlog batch (up to
-   ``max_batch`` requests) and co-plans it in one pass against the
+:class:`OnlineScheduler` drives one open-loop request stream through
+one cluster under one strategy with a single FIFO dispatcher:
+
+1. The dispatcher drains the admission queue into a backlog batch (up
+   to ``max_batch`` requests) and co-plans it in one pass against the
    current load snapshot (`Strategy.plan_batch`).
-3. Each request then waits for an in-flight slot (backpressure: at most
+2. Each request then waits for an in-flight slot (backpressure: at most
    ``max_inflight`` requests execute concurrently).  If the quantised
    load snapshot at dispatch time differs from the bucket its plan
    assumed -- the backlog drifted while it waited -- the whole
@@ -17,19 +21,21 @@ through one cluster under one strategy.  The control loop is:
    fresh snapshot (whose bucket then becomes the batch's reference), so
    a single drift never degrades the rest of the batch to per-request
    planning.
-4. A child process executes the plan through
+3. The lifecycle executes the plan through
    :class:`~repro.core.executor.PlanExecutor` and releases the slot.
 
 End-to-end latency is measured from the request's *arrival*, so time
 spent queued for admission counts against the SLO -- the scheduler
 cannot hide overload by delaying admission.
 
-This single-leader loop doubles as the executable spec for
-:class:`~repro.serving.sharded.ShardedScheduler`'s legacy
-configuration (1 shard, planning charging off, ``min`` load view): the
-two dispatcher loops are deliberately independent implementations, and
-the equivalence tests in ``tests/serving/test_sharded.py`` pin them to
-the same event schedule.  Dispatcher bugfixes must land in both.
+The lifecycle is shared; the dispatchers are not.  This FIFO
+single-leader loop and :class:`~repro.serving.sharded.ShardedScheduler`'s
+priority-sorted per-shard loops are independent implementations of two
+policies.  The equivalence tests in ``tests/serving/test_sharded.py``
+pin them against each other in the sharded scheduler's legacy
+configuration (1 shard, planning charging off, ``min`` load view), and
+``tests/serving/test_lifecycle_pins.py`` pins both schedules to literal
+digests.
 """
 
 from __future__ import annotations
@@ -62,7 +68,8 @@ from repro.serving.control import (
     ControlPolicy,
     ControlTrace,
 )
-from repro.serving.routing import resolve_router
+from repro.serving.routing import Router, resolve_router
+from repro.serving.specialize import ShardSpecializer
 from repro.sim.resources import Resource, Store
 from repro.sim.runtime import SimRuntime
 from repro.sim.trace import TRACE_FULL, BusyRecorder, check_trace_level
@@ -346,6 +353,435 @@ def _segment_recorder(segments: Dict[int, int], request_id: int, inner=None):
     return checkpoint
 
 
+
+class ServingRun:
+    """One serving run's request lifecycle, shared by both schedulers.
+
+    A scheduler's ``run()`` builds one, starts its own dispatcher
+    processes through :meth:`start` and gets the result back.  This
+    object owns everything around the dispatchers:
+
+    - fault arming (the ``protected`` leaders are spared churn) and the
+      :class:`~repro.faults.FaultTrace`;
+    - the per-shard admission queues, the in-flight resource, the
+      routing layer and the per-shard ledgers;
+    - the control plane's :class:`~repro.serving.control.Controller`
+      and the signals it reads;
+    - the request stages: :meth:`source` admits arrivals, :meth:`serve`
+      executes a dispatched plan, :meth:`handle_failure` retries,
+      downgrades or sheds a failed one and :meth:`readmit` re-queues it
+      after its backoff;
+    - settlement, checkpoint/resume and the :class:`ServingResult`.
+
+    The schedulers differ only in the values they pass: the shard
+    count, the protected leaders, the in-flight resource type, the
+    executor's explore charging, a preemption hook and their extra
+    result fields.
+    """
+
+    @staticmethod
+    def configure(
+        scheduler,
+        cluster: Optional[Cluster],
+        strategy: Optional[Strategy],
+        max_batch: int,
+        max_inflight: int,
+        trace_level: str,
+        faults: Optional[PerturbationProcess],
+        retry: Optional[RetryPolicy],
+        router: Router,
+        control: Optional[ControlPolicy],
+    ) -> None:
+        """Validate and store the settings both schedulers share."""
+        if max_batch < 1:
+            raise ValueError(f"max_batch must be positive, got {max_batch}")
+        if max_inflight < 1:
+            raise ValueError(f"max_inflight must be positive, got {max_inflight}")
+        scheduler.cluster = cluster if cluster is not None else build_cluster()
+        scheduler.strategy = strategy if strategy is not None else HiDPStrategy()
+        scheduler.max_batch = max_batch
+        scheduler.max_inflight = max_inflight
+        #: ``TRACE_AGGREGATE`` switches the run to O(1) streaming trace
+        #: aggregates (large-scale streams); the event schedule and all
+        #: request timings are identical either way.
+        scheduler.trace_level = check_trace_level(trace_level)
+        #: Seeded fault injection + recovery policy (see
+        #: :mod:`repro.faults`).  A zero-event process leaves the run
+        #: byte-identical.
+        scheduler.faults = faults
+        scheduler.retry = retry if retry is not None else RetryPolicy()
+        scheduler.router = router
+        #: The SLO-driven control plane
+        #: (:class:`~repro.serving.control.ControlPolicy`).  ``None``
+        #: runs the open-loop path byte-identically.
+        scheduler.control = control
+
+    def __init__(
+        self,
+        scheduler,
+        requests: Sequence[InferenceRequest],
+        checkpoint_at_s: Optional[float],
+        num_shards: int,
+        protected: Tuple[str, ...],
+        inflight=Resource,
+        charge_explore: bool = True,
+        preempt=None,
+    ):
+        if not requests:
+            raise ValueError("no requests to serve")
+        self.ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
+        self.cluster = cluster = scheduler.cluster
+        self.strategy = scheduler.strategy
+        self.trace_level = scheduler.trace_level
+        self.retry = scheduler.retry
+        self.control = scheduler.control
+        self.num_shards = num_shards
+        self.checkpoint_at_s = checkpoint_at_s
+        #: ``preempt(run, request, holder)`` -> plan-executor checkpoint
+        #: hook, or None; ``holder[0]`` is the request's current slot.
+        self.preempt = preempt
+        self.runtime = runtime = SimRuntime(cluster, trace_level=self.trace_level)
+        faults = scheduler.faults
+        injector = None
+        if faults is not None:
+            injector = FaultInjector(
+                runtime,
+                cluster,
+                faults.events(cluster, protected=protected),
+                batteries=faults.battery_map(protected),
+                battery_sample_s=faults.battery_sample_s,
+                battery_horizon_s=faults.horizon_s,
+            )
+            injector.arm()
+        self.injector = injector
+        # A zero-event process never arms: no driver process, no gates,
+        # no trace -- the degenerate pin rides this flag being False.
+        self.fault_mode = injector is not None and injector.armed
+        self.fault_trace = FaultTrace(self.trace_level) if self.fault_mode else None
+        self.executor = PlanExecutor(runtime, charge_explore=charge_explore)
+        self.env = env = runtime.env
+        self.queues = [Store(env) for _ in range(num_shards)]
+        self.inflight = inflight(env, capacity=scheduler.max_inflight)
+        # Routing layer: the specializer prices queued backlogs (GFLOPs
+        # of queued work) for load-aware routers and feeds the sharded
+        # scheduler's epoch respecialization.  Neither touches the
+        # event schedule.
+        self.specializer = ShardSpecializer(num_shards)
+        self.router = scheduler.router
+        self.stats = self.router.bind(num_shards, self.backlog_of)
+        self.served: List[ServedRequest] = []
+        self.counters = {
+            "batches": 0,
+            "replans": 0,
+            "max_batch": 0,
+            "steals": 0,
+            "preemptions": 0,
+            "planning_s": 0.0,
+        }
+        #: Per-shard ledgers: admissions, retry re-admissions and
+        #: dispatches (filled by the dispatchers); ``idle`` marks a
+        #: dispatcher parked on its empty queue.
+        self.admitted = [0] * num_shards
+        self.readmitted = [0] * num_shards
+        self.dispatched = [0] * num_shards
+        self.idle = [False] * num_shards
+        #: request_id -> upcoming dispatch attempt number (absent = 1).
+        self.attempt_of: Dict[int, int] = {}
+        #: request_id -> sim time of its first mid-plan failure.
+        self.first_failure_at: Dict[int, float] = {}
+        self.shed_ids: List[int] = []
+        self.rejected_ids: List[int] = []
+        #: request_id -> plan-segment boundaries crossed (checkpoint
+        #: runs only; the recorder hook adds no events).
+        self.segments: Optional[Dict[int, int]] = (
+            {} if checkpoint_at_s is not None else None
+        )
+        self._bucket_memo = (None, None)
+        self.controller = None
+        if self.control is not None:
+            self.controller = Controller(
+                self.control,
+                env,
+                trace_level=self.trace_level,
+                inflight=self.inflight,
+                router=self.router,
+                num_shards=num_shards,
+            )
+
+    # Signals ---------------------------------------------------------------
+
+    def backlog_of(self, shard: int) -> float:
+        cost_of = self.specializer.cost_of
+        return sum(cost_of(item.model) for item in self.queues[shard].items)
+
+    def queue_depth(self) -> int:
+        return sum(queue.size for queue in self.queues)
+
+    def pressure(self) -> int:
+        """Door pressure: queued plus waiting-for-slot requests."""
+        return self.queue_depth() + self.inflight.queue_length
+
+    def est_wait_s(self) -> float:
+        # Capacity-weighted backlog over every available station: a min
+        # over devices would always find an idle weak core and the
+        # deadline door would never close, so congestion on the cores
+        # that do the work has to dominate the estimate.
+        total = 0.0
+        weight = 0.0
+        for device in self.cluster.devices:
+            if not self.cluster.is_available(device.name):
+                continue
+            for station in self.runtime.stations_of(device.name):
+                total += station.compute_weight * station.backlog_seconds
+                weight += station.compute_weight
+        return total / weight if weight > 0.0 else 0.0
+
+    def bucket_of(self, load: Optional[Dict[str, float]]) -> Optional[Tuple]:
+        """Quantised snapshot identity (None for load-unaware strategies).
+
+        Delegates to :meth:`Strategy.load_key` -- the same quantisation
+        the plan cache keys on -- so "drifted past the load bucket"
+        means exactly "a fresh plan() would miss the cache".  The
+        snapshot is a pure function of (clock, commitment version), so
+        on the sim fast path the bucket is memoised per state token and
+        the per-dispatch drift check costs a tuple compare; the
+        reference configuration keeps the seed cost.
+        """
+        token = None
+        if self.env._fast:
+            token = (self.env.now, self.runtime._load_version)
+            if self._bucket_memo[0] == token:
+                return self._bucket_memo[1]
+        effective = self.strategy.effective_load(load)
+        bucket = None if effective is None else self.strategy.load_key(effective)
+        if token is not None:
+            self._bucket_memo = (token, bucket)
+        return bucket
+
+    def settled(self) -> bool:
+        """Whether every request completed, was shed or was rejected."""
+        done = len(self.served) + len(self.shed_ids) + len(self.rejected_ids)
+        return done >= len(self.ordered)
+
+    # Request stages -------------------------------------------------------
+
+    def source(self):
+        env = self.env
+        controller = self.controller
+        observe = self.specializer.observe
+        route = self.router.route
+        admitted = self.admitted
+        queues = self.queues
+        for request in self.ordered:
+            if request.arrival_s > env.now:
+                yield env.timeout(request.arrival_s - env.now)
+            if controller is not None:
+                verdict = controller.admit(request)
+                if verdict == REJECT:
+                    self.rejected_ids.append(request.request_id)
+                    continue
+                if verdict == DOWNGRADE:
+                    request = replace(
+                        request,
+                        priority=request.priority + self.control.admission_downgrade_by,
+                    )
+            observe(request.model)
+            shard = route(request)
+            admitted[shard] += 1
+            queues[shard].put(request)
+
+    def readmit(self, request: InferenceRequest, delay_s: float):
+        if delay_s > 0:
+            yield self.env.timeout(delay_s)
+        shard = self.router.route(request)
+        self.readmitted[shard] += 1
+        self.idle[shard] = False  # its parked getter wakes with this item
+        self.queues[shard].put(request)
+
+    def handle_failure(
+        self, request: InferenceRequest, lost: DeviceLostError, shard: int
+    ) -> None:
+        """Retry, downgrade or shed one failed request (the policy)."""
+        retry = self.retry
+        fault_trace = self.fault_trace
+        attempt = self.attempt_of.get(request.request_id, 1)
+        fault_trace.record_failure(
+            request.request_id, lost.device, lost.segment, lost.time_s, attempt
+        )
+        self.first_failure_at.setdefault(request.request_id, lost.time_s)
+        if self.controller is not None:
+            # Feed the shard's breaker first: a failure burst trips it
+            # whatever the retry policy then decides.
+            self.controller.observe_failure(shard, self.dispatched[shard])
+        if attempt > retry.max_retries:
+            self.shed_ids.append(request.request_id)
+            fault_trace.record_shed(request.request_id)
+            return
+        again = request
+        if retry.degradation != DEGRADE_NONE:
+            if self.pressure() > retry.pressure_threshold:
+                if retry.degradation == DEGRADE_SHED:
+                    self.shed_ids.append(request.request_id)
+                    fault_trace.record_shed(request.request_id)
+                    return
+                # Downgrade: re-admit at a worse priority class instead
+                # of dropping the work.
+                again = replace(
+                    request,
+                    priority=request.priority + retry.downgrade_priority_by,
+                )
+                fault_trace.record_downgrade(request.request_id)
+        self.attempt_of[request.request_id] = attempt + 1
+        # Exponential backoff (deterministically jittered when the
+        # policy asks) charged as queue delay; the request then rejoins
+        # the normal dispatcher path, where planning against the current
+        # availability signature yields a plan avoiding the lost device.
+        delay = retry.backoff_s(attempt, request.request_id)
+        fault_trace.record_retry(request.request_id, self.env.now + delay)
+        self.env.process(self.readmit(again, delay))
+
+    def serve(self, request: InferenceRequest, plan, slot, replanned: bool, shard: int):
+        holder = [slot]
+        hook = self.preempt(self, request, holder) if self.preempt is not None else None
+        if self.segments is not None:
+            # Compose: count the boundary, then run the preemption
+            # hand-off (the recorder itself adds no events).
+            hook = _segment_recorder(self.segments, request.request_id, inner=hook)
+        fault_trace = self.fault_trace
+        try:
+            try:
+                result = yield from self.executor.execute(request, plan, checkpoint=hook)
+            except DeviceLostError as lost:
+                if fault_trace is None:
+                    raise
+                self.handle_failure(request, lost, shard)
+                return
+            attempts = (
+                self.attempt_of.get(request.request_id, 1) if self.fault_mode else 1
+            )
+            self.served.append(
+                ServedRequest(
+                    request=request,
+                    result=result,
+                    replanned=replanned,
+                    attempts=attempts,
+                )
+            )
+            now = self.env.now
+            if self.controller is not None:
+                self.controller.observe_completion(now - request.arrival_s, shard)
+            if fault_trace is not None:
+                first = self.first_failure_at.get(request.request_id)
+                if first is not None:
+                    fault_trace.record_recovery(request.request_id, now - first, attempts)
+        finally:
+            self.inflight.release(holder[0])
+
+    def control_driver(self):
+        # Ticks on the sim clock, like the sharded scheduler's epoch
+        # driver; stops once the stream settles so a long tail of
+        # wakeups never outlives the run's useful work.
+        while True:
+            yield self.env.timeout(self.control.interval_s)
+            if self.settled():
+                break
+            self.controller.wake()
+
+    # Run -------------------------------------------------------------------
+
+    def start(self, dispatchers, drain_shard=None, rescale=None, extra_fields=dict):
+        """Start the source, ``dispatchers`` and the control driver, then
+        run to the end -- or pause at ``checkpoint_at_s`` and return a
+        :class:`RunCheckpoint`.
+
+        ``drain_shard``/``rescale`` are the scheduler's breaker-drain and
+        elastic-rescale actuators; ``extra_fields()`` returns the result
+        fields only that scheduler reports.
+        """
+        self._extra_fields = extra_fields
+        env = self.env
+        if self.controller is not None:
+            self.controller.bind(
+                pressure_of=self.pressure,
+                queue_depth=self.queue_depth,
+                est_wait_s=self.est_wait_s,
+                drain_shard=drain_shard,
+                rescale=rescale,
+                injector=self.injector if self.fault_mode else None,
+            )
+        env.process(self.source())
+        for dispatcher in dispatchers:
+            env.process(dispatcher)
+        if self.controller is not None:
+            env.process(self.control_driver())
+        if self.checkpoint_at_s is None:
+            return self.finish()
+        # Pause: drain the exact event prefix up to the requested time,
+        # capture the state, and hand control back.  finish() later
+        # continues from the same heap, so the pause never perturbs the
+        # schedule.
+        env.run(until=self.checkpoint_at_s)
+        return RunCheckpoint(
+            runtime=self.runtime,
+            snapshot=self.runtime.snapshot(),
+            finish=self.finish,
+            served_count=len(self.served),
+            segments=dict(self.segments),
+        )
+
+    def finish(self) -> ServingResult:
+        self.env.run()
+        served = self.served
+        settled = len(served) + len(self.shed_ids) + len(self.rejected_ids)
+        if settled != len(self.ordered):
+            raise RuntimeError(
+                f"{len(self.ordered) - settled} requests never completed (deadlock?)"
+            )
+        served.sort(key=lambda record: record.request.request_id)
+        makespan = max((record.completed_s for record in served), default=0.0)
+        runtime = self.runtime
+        energy_by_device = cluster_energy_j(self.cluster, runtime.busy, (0.0, makespan))
+        full = self.trace_level == TRACE_FULL
+        fault_trace = self.fault_trace
+        counters = self.counters
+        stats = self.stats
+        return ServingResult(
+            strategy=self.strategy.name,
+            served=served,
+            makespan_s=makespan,
+            energy_j=sum(energy_by_device.values()),
+            energy_by_device=energy_by_device,
+            network_bytes=runtime.transfer_log.total_bytes,
+            total_flops=runtime.flops_log.total_flops,
+            busy=runtime.busy,
+            batches=counters["batches"],
+            replans=counters["replans"],
+            max_batch_observed=counters["max_batch"],
+            shards=self.num_shards,
+            steals=counters["steals"],
+            preemptions=counters["preemptions"],
+            planning_charged_s=counters["planning_s"],
+            sim_events=self.env.scheduled_events,
+            failures=fault_trace.failures if fault_trace is not None else 0,
+            retries=fault_trace.retries if fault_trace is not None else 0,
+            shed=len(self.shed_ids),
+            downgraded=fault_trace.downgraded if fault_trace is not None else 0,
+            fault_events=self.injector.applied if self.injector is not None else 0,
+            shed_requests=tuple(sorted(self.shed_ids)) if full else (),
+            faults=fault_trace,
+            router=self.router.name,
+            epochs=stats.epochs,
+            spilled=stats.spilled,
+            cold_routed=stats.cold,
+            leader_reelections=stats.reelections,
+            routing=stats,
+            rejected=len(self.rejected_ids),
+            rejected_requests=tuple(sorted(self.rejected_ids)) if full else (),
+            control=self.controller.trace if self.controller is not None else None,
+            **self._extra_fields(),
+        )
+
+
 class OnlineScheduler:
     """Serves an open-loop request stream on one cluster.
 
@@ -367,10 +803,12 @@ class OnlineScheduler:
     (:class:`~repro.serving.control.ControlPolicy`): adaptive
     concurrency (AIMD on the in-flight window), door admission control
     (pressure reject/downgrade, deadline shed) and battery-drain
-    lookahead apply here; the elastic-shard and per-shard breaker
+    lookahead apply here.  The elastic-shard and per-shard breaker
     actuators are :class:`~repro.serving.sharded.ShardedScheduler`
-    territory (one shard has nothing to scale or route around).
-    ``control=None`` runs the legacy open-loop path byte-identically.
+    territory (one shard has nothing to scale or route around), so a
+    policy with ``elastic=True`` or ``breaker_failures > 0`` is
+    rejected.  ``control=None`` runs the legacy open-loop path
+    byte-identically.
     """
 
     def __init__(
@@ -385,43 +823,20 @@ class OnlineScheduler:
         router=None,
         control: Optional[ControlPolicy] = None,
     ):
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be positive, got {max_batch}")
-        if max_inflight < 1:
-            raise ValueError(f"max_inflight must be positive, got {max_inflight}")
-        self.cluster = cluster if cluster is not None else build_cluster()
-        self.strategy = strategy if strategy is not None else HiDPStrategy()
-        self.max_batch = max_batch
-        self.max_inflight = max_inflight
-        #: ``TRACE_AGGREGATE`` switches the run to O(1) streaming trace
-        #: aggregates (large-scale streams); the event schedule and all
-        #: request timings are identical either way.
-        self.trace_level = check_trace_level(trace_level)
-        self.faults = faults
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.control = control
+        if control is not None and (control.elastic or control.breaker_failures > 0):
+            raise ValueError(
+                "elastic shards and circuit breakers need ShardedScheduler; "
+                "OnlineScheduler has one shard"
+            )
         # The single-leader loop is the degenerate 1-shard path of the
         # layered serving stack: every admission routes through the
         # router interface (always to shard 0), so router accounting
         # and the ``router`` result field behave uniformly across both
         # schedulers while the event schedule stays byte-identical.
-        self.router = resolve_router(router, "hash")
-
-    # Internals --------------------------------------------------------------
-
-    def _bucket_key(self, load: Optional[Dict[str, float]]) -> Optional[Tuple]:
-        """Quantised snapshot identity (None for load-unaware strategies).
-
-        Delegates to :meth:`Strategy.load_key` -- the same quantisation
-        the plan cache keys on -- so "drifted past the load bucket"
-        means exactly "a fresh plan() would miss the cache".
-        """
-        effective = self.strategy.effective_load(load)
-        if effective is None:
-            return None
-        return self.strategy.load_key(effective)
-
-    # Entry point -------------------------------------------------------------
+        ServingRun.configure(
+            self, cluster, strategy, max_batch, max_inflight, trace_level,
+            faults, retry, resolve_router(router, "hash"), control,
+        )
 
     def run(
         self,
@@ -435,333 +850,74 @@ class OnlineScheduler:
         :class:`RunCheckpoint` instead; ``resume()`` on the handle
         drains the rest of the run to a byte-identical result.
         """
-        if not requests:
-            raise ValueError("no requests to serve")
-        ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-        runtime = SimRuntime(self.cluster, trace_level=self.trace_level)
-        injector = None
-        if self.faults is not None:
-            protected = (self.cluster.leader.name,)
-            injector = FaultInjector(
-                runtime,
-                self.cluster,
-                self.faults.events(self.cluster, protected=protected),
-                batteries=self.faults.battery_map(protected),
-                battery_sample_s=self.faults.battery_sample_s,
-                battery_horizon_s=self.faults.horizon_s,
-            )
-            injector.arm()
-        # A zero-event process never arms: no driver process, no gates,
-        # no trace -- the degenerate pin rides this flag being False.
-        fault_mode = injector is not None and injector.armed
-        retry = self.retry
-        fault_trace = FaultTrace(self.trace_level) if fault_mode else None
-        executor = PlanExecutor(runtime)
-        env = runtime.env
-        queue = Store(env)
-        inflight = Resource(env, capacity=self.max_inflight)
-        # Degenerate routing layer: one shard, zero-priced backlog --
-        # every router maps every request to shard 0, so this adds
-        # accounting but no sim events.
-        router = self.router
-        stats = router.bind(1, lambda shard: 0.0)
-        served: List[ServedRequest] = []
-        counters = {"batches": 0, "replans": 0, "max_batch": 0}
-        #: request_id -> upcoming dispatch attempt number (absent = 1).
-        attempt_of: Dict[int, int] = {}
-        #: request_id -> sim time of its first mid-plan failure.
-        first_failure_at: Dict[int, float] = {}
-        shed_ids: List[int] = []
-        rejected_ids: List[int] = []
-        #: request_id -> plan-segment boundaries crossed (checkpoint
-        #: runs only; the recorder hook adds no events).
-        segments: Optional[Dict[int, int]] = (
-            {} if checkpoint_at_s is not None else None
+        run = ServingRun(
+            self,
+            requests,
+            checkpoint_at_s,
+            num_shards=1,
+            protected=(self.cluster.leader.name,),
         )
+        return run.start([self._dispatcher(run)])
 
-        controller = None
-        if self.control is not None:
-            controller = Controller(
-                self.control,
-                env,
-                trace_level=self.trace_level,
-                inflight=inflight,
-                router=router,
-                num_shards=1,
-            )
-
-            def est_wait_s() -> float:
-                # Capacity-weighted backlog over every available
-                # station: a min over devices would always find an
-                # idle weak core and the deadline door would never
-                # close, so congestion on the cores that do the work
-                # has to dominate the estimate.
-                total = 0.0
-                weight = 0.0
-                for device in self.cluster.devices:
-                    if not self.cluster.is_available(device.name):
-                        continue
-                    for station in runtime.stations_of(device.name):
-                        total += station.compute_weight * station.backlog_seconds
-                        weight += station.compute_weight
-                return total / weight if weight > 0.0 else 0.0
-
-            controller.bind(
-                pressure_of=lambda: queue.size + inflight.queue_length,
-                est_wait_s=est_wait_s,
-                injector=injector if fault_mode else None,
-            )
-
-        def source():
-            for request in ordered:
-                if request.arrival_s > env.now:
-                    yield env.timeout(request.arrival_s - env.now)
-                if controller is not None:
-                    verdict = controller.admit(request)
-                    if verdict == REJECT:
-                        rejected_ids.append(request.request_id)
-                        continue
-                    if verdict == DOWNGRADE:
-                        request = replace(
-                            request,
-                            priority=request.priority
-                            + self.control.admission_downgrade_by,
-                        )
-                router.route(request)
-                queue.put(request)
-
-        def readmit(request: InferenceRequest, delay_s: float):
-            if delay_s > 0:
-                yield env.timeout(delay_s)
-            router.route(request)
-            queue.put(request)
-
-        def handle_failure(request: InferenceRequest, lost: DeviceLostError) -> None:
-            """Retry, downgrade or shed one failed request (the policy)."""
-            attempt = attempt_of.get(request.request_id, 1)
-            fault_trace.record_failure(
-                request.request_id, lost.device, lost.segment, lost.time_s, attempt
-            )
-            first_failure_at.setdefault(request.request_id, lost.time_s)
-            if attempt > retry.max_retries:
-                shed_ids.append(request.request_id)
-                fault_trace.record_shed(request.request_id)
-                return
-            again = request
-            if retry.degradation != DEGRADE_NONE:
-                pressure = queue.size + inflight.queue_length
-                if pressure > retry.pressure_threshold:
-                    if retry.degradation == DEGRADE_SHED:
-                        shed_ids.append(request.request_id)
-                        fault_trace.record_shed(request.request_id)
-                        return
-                    again = replace(
-                        request,
-                        priority=request.priority + retry.downgrade_priority_by,
+    def _dispatcher(self, run: ServingRun):
+        """FIFO batches from the one admission queue, planned from
+        ``devices[0]``."""
+        cluster = self.cluster
+        strategy = self.strategy
+        runtime = run.runtime
+        queue = run.queues[0]
+        inflight = run.inflight
+        counters = run.counters
+        fault_mode = run.fault_mode
+        remaining = len(run.ordered)
+        # In fault mode the loop is open-ended: retries re-enter the
+        # queue after the original stream drains, and when the heap
+        # finally empties the dispatcher is parked on queue.get()
+        # (parked getters do not keep the simulation alive).  With a
+        # controller the loop is open-ended too: door rejections mean
+        # the dispatch count never reaches len(ordered).
+        open_ended = fault_mode or run.controller is not None
+        while remaining > 0 or open_ended:
+            first = yield queue.get()
+            batch = [first]
+            while queue.size > 0 and len(batch) < self.max_batch:
+                item = yield queue.get()
+                batch.append(item)
+            counters["batches"] += 1
+            counters["max_batch"] = max(counters["max_batch"], len(batch))
+            load = runtime.load_snapshot()
+            batch_bucket = run.bucket_of(load)
+            batch_avail = cluster.availability_signature() if fault_mode else None
+            graphs = [build_model(request.model) for request in batch]
+            plans = strategy.plan_batch(graphs, cluster, load=load)
+            fresh = [False] * len(batch)
+            for index, request in enumerate(batch):
+                slot = inflight.request()
+                yield slot  # backpressure: wait for an in-flight slot
+                current = runtime.load_snapshot()
+                current_bucket = run.bucket_of(current)
+                drifted = current_bucket != batch_bucket
+                if fault_mode and not drifted:
+                    # Availability drift: a device joined or left while
+                    # the batch waited -- replan the tail so dispatches
+                    # never carry a plan spanning a device known to be
+                    # gone.
+                    drifted = cluster.availability_signature() != batch_avail
+                if drifted:
+                    # The backlog drifted past the load bucket the batch
+                    # plan assumed; re-co-plan the whole remaining tail
+                    # in one pass against the fresh snapshot and adopt
+                    # its bucket, so one drift does not degrade the rest
+                    # of the batch to per-request planning (the plan
+                    # cache absorbs repeat buckets).
+                    plans[index:] = strategy.plan_batch(
+                        graphs[index:], cluster, load=current
                     )
-                    fault_trace.record_downgrade(request.request_id)
-            attempt_of[request.request_id] = attempt + 1
-            # Exponential backoff (deterministically jittered when the
-            # policy asks) charged as queue delay; the request then
-            # rejoins the normal dispatcher path, where planning against
-            # the current availability signature yields a plan avoiding
-            # the lost device.
-            delay = retry.backoff_s(attempt, request.request_id)
-            fault_trace.record_retry(request.request_id, env.now + delay)
-            env.process(readmit(again, delay))
-
-        def serve(request: InferenceRequest, plan, slot, replanned: bool):
-            hook = (
-                _segment_recorder(segments, request.request_id)
-                if segments is not None
-                else None
-            )
-            try:
-                try:
-                    result = yield from executor.execute(request, plan, checkpoint=hook)
-                except DeviceLostError as lost:
-                    if fault_trace is None:
-                        raise
-                    handle_failure(request, lost)
-                    return
-                attempts = attempt_of.get(request.request_id, 1) if fault_mode else 1
-                served.append(
-                    ServedRequest(
-                        request=request,
-                        result=result,
-                        replanned=replanned,
-                        attempts=attempts,
-                    )
-                )
-                if controller is not None:
-                    controller.observe_completion(env.now - request.arrival_s)
-                if fault_trace is not None:
-                    first = first_failure_at.get(request.request_id)
-                    if first is not None:
-                        fault_trace.record_recovery(
-                            request.request_id, env.now - first, attempts
-                        )
-            finally:
-                inflight.release(slot)
-
-        def dispatcher():
-            remaining = len(ordered)
-            # In fault mode the loop is open-ended: retries re-enter the
-            # queue after the original stream drains, and when the heap
-            # finally empties the dispatcher is parked on queue.get()
-            # (parked getters do not keep the simulation alive).  With a
-            # controller the loop is open-ended too: door rejections
-            # mean the dispatch count never reaches len(ordered).
-            open_ended = fault_mode or controller is not None
-            while remaining > 0 or open_ended:
-                first = yield queue.get()
-                batch = [first]
-                while queue.size > 0 and len(batch) < self.max_batch:
-                    item = yield queue.get()
-                    batch.append(item)
-                counters["batches"] += 1
-                counters["max_batch"] = max(counters["max_batch"], len(batch))
-                load = runtime.load_snapshot()
-                batch_bucket = self._bucket_key(load)
-                batch_avail = self.cluster.availability_signature() if fault_mode else None
-                graphs = [build_model(request.model) for request in batch]
-                plans = self.strategy.plan_batch(graphs, self.cluster, load=load)
-                fresh = [False] * len(batch)
-                for index, request in enumerate(batch):
-                    slot = inflight.request()
-                    yield slot  # backpressure: wait for an in-flight slot
-                    current = runtime.load_snapshot()
-                    current_bucket = self._bucket_key(current)
-                    drifted = current_bucket != batch_bucket
-                    if fault_mode and not drifted:
-                        # Availability drift: a device joined or left
-                        # while the batch waited -- replan the tail so
-                        # dispatches never carry a plan spanning a
-                        # device known to be gone.
-                        drifted = self.cluster.availability_signature() != batch_avail
-                    if drifted:
-                        # The backlog drifted past the load bucket the
-                        # batch plan assumed; re-co-plan the whole
-                        # remaining tail in one pass against the fresh
-                        # snapshot and adopt its bucket, so one drift
-                        # does not degrade the rest of the batch to
-                        # per-request planning (the plan cache absorbs
-                        # repeat buckets).
-                        plans[index:] = self.strategy.plan_batch(
-                            graphs[index:], self.cluster, load=current
-                        )
-                        for tail in range(index, len(batch)):
-                            fresh[tail] = True
-                        batch_bucket = current_bucket
-                        if fault_mode:
-                            batch_avail = self.cluster.availability_signature()
-                        counters["replans"] += 1
-                    env.process(serve(request, plans[index], slot, fresh[index]))
-                    remaining -= 1
-
-        def control_driver():
-            # Ticks on the sim clock, mirroring the sharded scheduler's
-            # epoch driver; stops once the stream settles so a long tail
-            # of wakeups never outlives the run's useful work.
-            while True:
-                yield env.timeout(self.control.interval_s)
-                if len(served) + len(shed_ids) + len(rejected_ids) >= len(ordered):
-                    break
-                controller.wake()
-
-        env.process(source())
-        env.process(dispatcher())
-        if controller is not None:
-            env.process(control_driver())
-
-        def finish() -> ServingResult:
-            env.run()
-            settled = len(served) + len(shed_ids) + len(rejected_ids)
-            if settled != len(ordered):
-                raise RuntimeError(
-                    f"{len(ordered) - settled} requests never completed (deadlock?)"
-                )
-            served.sort(key=lambda record: record.request.request_id)
-            makespan = max((record.completed_s for record in served), default=0.0)
-            energy_by_device = cluster_energy_j(
-                self.cluster, runtime.busy, (0.0, makespan)
-            )
-            return self._build_result(
-                runtime,
-                env,
-                served,
-                makespan,
-                energy_by_device,
-                counters,
-                fault_trace,
-                injector,
-                shed_ids,
-                rejected_ids,
-                router,
-                stats,
-                controller,
-            )
-
-        if checkpoint_at_s is not None:
-            # Pause: drain the exact event prefix up to the requested
-            # time, capture the state, and hand control back.  finish()
-            # later continues from the same heap, so the pause never
-            # perturbs the schedule.
-            env.run(until=checkpoint_at_s)
-            return RunCheckpoint(
-                runtime=runtime,
-                snapshot=runtime.snapshot(),
-                finish=finish,
-                served_count=len(served),
-                segments=dict(segments),
-            )
-        return finish()
-
-    def _build_result(
-        self,
-        runtime,
-        env,
-        served,
-        makespan,
-        energy_by_device,
-        counters,
-        fault_trace,
-        injector,
-        shed_ids,
-        rejected_ids,
-        router,
-        stats,
-        controller,
-    ) -> ServingResult:
-        return ServingResult(
-            strategy=self.strategy.name,
-            served=served,
-            makespan_s=makespan,
-            energy_j=sum(energy_by_device.values()),
-            energy_by_device=energy_by_device,
-            network_bytes=runtime.transfer_log.total_bytes,
-            total_flops=runtime.flops_log.total_flops,
-            busy=runtime.busy,
-            batches=counters["batches"],
-            replans=counters["replans"],
-            max_batch_observed=counters["max_batch"],
-            sim_events=env.scheduled_events,
-            failures=fault_trace.failures if fault_trace is not None else 0,
-            retries=fault_trace.retries if fault_trace is not None else 0,
-            shed=len(shed_ids),
-            downgraded=fault_trace.downgraded if fault_trace is not None else 0,
-            fault_events=injector.applied if injector is not None else 0,
-            shed_requests=(
-                tuple(sorted(shed_ids)) if self.trace_level == TRACE_FULL else ()
-            ),
-            faults=fault_trace,
-            router=router.name,
-            spilled=stats.spilled,
-            cold_routed=stats.cold,
-            routing=stats,
-            rejected=len(rejected_ids),
-            rejected_requests=(
-                tuple(sorted(rejected_ids)) if self.trace_level == TRACE_FULL else ()
-            ),
-            control=controller.trace if controller is not None else None,
-        )
+                    for tail in range(index, len(batch)):
+                        fresh[tail] = True
+                    batch_bucket = current_bucket
+                    if fault_mode:
+                        batch_avail = cluster.availability_signature()
+                    counters["replans"] += 1
+                run.env.process(run.serve(request, plans[index], slot, fresh[index], 0))
+                remaining -= 1

@@ -76,58 +76,40 @@ legitimately do.  ``tests/integration/test_hatch_matrix.py`` (the
 inside every configuration, so fast-path work cannot silently fork
 behaviour in an untested corner.
 
-With ``num_shards=1``, no priority spread in the stream,
-``planning_overhead="off"`` and ``load_view="min"``, the event schedule
-degenerates to exactly the single-leader scheduler's (and with one
-shard the ``distributed`` leader policy elects ``devices[0]``, so the
-leader-equivalence pin extends the same degeneracy).  The dispatcher
-loop here deliberately does *not* share code with
-:class:`~repro.serving.scheduler.OnlineScheduler`: like the ``*_reference``
-DP kernels, the single-leader scheduler is kept as an independent
-executable spec, and the equivalence tests in
-``tests/serving/test_sharded.py`` only have teeth because the two
-implementations are independent.  A dispatcher bugfix must land in
-both loops (the drift tail re-co-plan fix below is one such).
+Everything around the dispatchers -- fault arming, admission, routing,
+execution, retry/shed, the control driver, settlement, checkpointing
+and the result -- is the request lifecycle
+:class:`~repro.serving.scheduler.ServingRun`, shared with
+:class:`~repro.serving.scheduler.OnlineScheduler`.  The dispatchers are
+not shared: this module keeps only the sharded policy (priority-sorted
+per-shard dispatch, planning charge, leader election, the epoch driver,
+elastic rescale and work stealing).  With ``num_shards=1``, no priority
+spread in the stream, ``planning_overhead="off"`` and
+``load_view="min"``, its event schedule degenerates to exactly the
+single-leader scheduler's (and with one shard the ``distributed``
+leader policy elects ``devices[0]``, so the leader-equivalence pin
+extends the same degeneracy).  The two dispatcher loops are independent
+implementations, so the equivalence tests in
+``tests/serving/test_sharded.py`` that pin one against the other keep
+their teeth.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from math import inf
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.executor import PlanExecutor
-from repro.core.hidp import HiDPStrategy
 from repro.core.strategy import Strategy
 from repro.dnn.graph import DNNGraph
 from repro.dnn.models import build_model
-from repro.faults import (
-    DEGRADE_NONE,
-    DEGRADE_SHED,
-    DeviceLostError,
-    FaultInjector,
-    FaultTrace,
-    PerturbationProcess,
-    RetryPolicy,
-)
-from repro.metrics.energy import cluster_energy_j
-from repro.platform.cluster import LEADER_LEAST_LOADED, Cluster, build_cluster
-from repro.serving.control import (
-    DOWNGRADE,
-    REJECT,
-    Controller,
-    ControlPolicy,
-)
+from repro.faults import PerturbationProcess, RetryPolicy
+from repro.platform.cluster import LEADER_LEAST_LOADED, Cluster
+from repro.serving.control import ControlPolicy
 from repro.serving.routing import ClusteredRouter, resolve_router
-from repro.serving.scheduler import (
-    RunCheckpoint,
-    ServedRequest,
-    ServingResult,
-    _segment_recorder,
-)
-from repro.serving.specialize import ShardSpecializer
-from repro.sim.resources import PriorityResource, Store
-from repro.sim.runtime import LOAD_VIEW_WEIGHTED, LOAD_VIEWS, SimRuntime
-from repro.sim.trace import TRACE_FULL, check_trace_level
+from repro.serving.scheduler import ServingResult, ServingRun
+from repro.sim.resources import PriorityResource
+from repro.sim.runtime import LOAD_VIEW_WEIGHTED, LOAD_VIEWS
+from repro.sim.trace import TRACE_FULL
 from repro.workloads.requests import InferenceRequest
 
 #: Shard-assignment policies (legacy spelling; ``router=None`` follows
@@ -145,6 +127,26 @@ LEADERS_SHARED = "shared"
 LEADERS_DISTRIBUTED = "distributed"
 LEADERS_EPOCH = "epoch"
 LEADER_MODES = (LEADERS_SHARED, LEADERS_DISTRIBUTED, LEADERS_EPOCH)
+
+
+
+
+def _preemption_hook(run: ServingRun, request: InferenceRequest, holder: List):
+    """Plan-executor checkpoint for cooperative preemption.
+
+    At a segment boundary a slot an urgent waiter marked is handed over,
+    and the request re-queues at its own priority to resume.
+    """
+
+    def checkpoint():
+        if holder[0].preempt_requested:
+            run.counters["preemptions"] += 1
+            run.inflight.release(holder[0])
+            resumed = run.inflight.request(priority=request.priority, preemptible=True)
+            holder[0] = resumed
+            yield resumed
+
+    return checkpoint
 
 
 class ShardedScheduler:
@@ -179,10 +181,6 @@ class ShardedScheduler:
     ):
         if num_shards < 1:
             raise ValueError(f"num_shards must be positive, got {num_shards}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be positive, got {max_batch}")
-        if max_inflight < 1:
-            raise ValueError(f"max_inflight must be positive, got {max_inflight}")
         if assignment not in ASSIGNMENTS:
             raise ValueError(f"unknown assignment {assignment!r}; known: {ASSIGNMENTS}")
         if load_view not in LOAD_VIEWS:
@@ -193,63 +191,40 @@ class ShardedScheduler:
                     f"unknown planning overhead mode {planning_overhead!r}; "
                     f"known: {PLANNING_OFF!r}, {PLANNING_BUCKET!r} or seconds"
                 )
-        elif not planning_overhead >= 0:
-            raise ValueError(f"negative planning overhead: {planning_overhead}")
+        elif not 0 <= planning_overhead < inf:
+            raise ValueError(f"planning overhead must be finite and >= 0: {planning_overhead}")
         if steal_threshold < 1:
             raise ValueError(f"steal_threshold must be positive, got {steal_threshold}")
         if leader_policy not in LEADER_MODES:
             raise ValueError(
                 f"unknown leader policy {leader_policy!r}; known: {LEADER_MODES}"
             )
-        if epoch_s < 0:
-            raise ValueError(f"negative epoch length: {epoch_s}")
+        if not 0 <= epoch_s < inf:
+            raise ValueError(f"epoch length must be finite and >= 0: {epoch_s}")
         if leader_policy == LEADERS_EPOCH and epoch_s <= 0:
             raise ValueError("leader_policy='epoch' needs a positive epoch_s")
-        self.cluster = cluster if cluster is not None else build_cluster()
-        self.strategy = strategy if strategy is not None else HiDPStrategy()
+        #: ``router=None`` follows the legacy ``assignment`` policy
+        #: through the routing layer.
+        ServingRun.configure(
+            self, cluster, strategy, max_batch, max_inflight, trace_level,
+            faults, retry, resolve_router(router, assignment), control,
+        )
         self.num_shards = num_shards
-        self.max_batch = max_batch
-        self.max_inflight = max_inflight
         self.assignment = assignment
         self.load_view = load_view
         self.planning_overhead = planning_overhead
         self.preemption = preemption
         self.steal_threshold = steal_threshold
         self.leader_policy = leader_policy
-        #: ``TRACE_AGGREGATE`` switches the run to O(1) streaming trace
-        #: aggregates (large-scale streams); the event schedule and all
-        #: request timings are identical either way.
-        self.trace_level = check_trace_level(trace_level)
-        #: Seeded fault injection + recovery policy (see
-        #: :mod:`repro.faults`).  Every shard leader is protected from
-        #: churn; a zero-event process leaves the run byte-identical.
-        self.faults = faults
-        self.retry = retry if retry is not None else RetryPolicy()
-        #: The admission router (ISSUE 7).  ``None`` follows the legacy
-        #: ``assignment`` policy through the routing layer.
-        self.router = resolve_router(router, assignment)
         #: Specialization-epoch length [simulated s]; 0 disables the
         #: epoch driver (no respecialization, no leader re-election).
         self.epoch_s = epoch_s
-        #: The SLO-driven control plane (ISSUE 9): adaptive concurrency,
-        #: elastic shards, door admission control, per-shard circuit
-        #: breakers and battery lookahead
-        #: (:class:`~repro.serving.control.ControlPolicy`).  ``None``
-        #: runs the open-loop path byte-identically.
-        self.control = control
 
     # Internals --------------------------------------------------------------
 
     @property
     def charges_planning(self) -> bool:
         return self.planning_overhead != PLANNING_OFF
-
-    def _bucket_key(self, load):
-        """Quantised snapshot identity, shared with the plan cache."""
-        effective = self.strategy.effective_load(load)
-        if effective is None:
-            return None
-        return self.strategy.load_key(effective)
 
     def _planning_charge_s(
         self,
@@ -291,86 +266,35 @@ class ShardedScheduler:
         ``resume()`` on the handle drains the rest of the run to a
         byte-identical result.
         """
-        if not requests:
-            raise ValueError("no requests to serve")
-        ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-        runtime = SimRuntime(self.cluster, trace_level=self.trace_level)
         leaders = self.shard_leaders()
-        injector = None
-        if self.faults is not None:
+        run = ServingRun(
+            self,
+            requests,
+            checkpoint_at_s,
+            num_shards=self.num_shards,
             # Order-preserving dedup: tuple(set(...)) would hand the
             # protected list hash-randomised ordering across runs.
-            protected = tuple(dict.fromkeys(leaders))
-            injector = FaultInjector(
-                runtime,
-                self.cluster,
-                self.faults.events(self.cluster, protected=protected),
-                batteries=self.faults.battery_map(protected),
-                battery_sample_s=self.faults.battery_sample_s,
-                battery_horizon_s=self.faults.horizon_s,
-            )
-            injector.arm()
-        # A zero-event process never arms: no driver process, no gates,
-        # no trace -- the degenerate pin rides this flag being False.
-        fault_mode = injector is not None and injector.armed
-        retry = self.retry
-        fault_trace = FaultTrace(self.trace_level) if fault_mode else None
-        executor = PlanExecutor(runtime, charge_explore=not self.charges_planning)
-        env = runtime.env
-        queues = [Store(env) for _ in range(self.num_shards)]
-        inflight = PriorityResource(env, capacity=self.max_inflight)
-        # Routing layer: the specializer prices queued backlogs (GFLOPs
-        # of queued work) for load-aware routers and, in clustered mode,
-        # feeds the epoch respecialization.  Neither touches the event
-        # schedule, so load-blind routers stay byte-identical to the
-        # pre-refactor closures.
-        specializer = ShardSpecializer(self.num_shards)
-
-        def backlog_of(shard: int) -> float:
-            return sum(
-                specializer.cost_of(item.model) for item in queues[shard].items
-            )
-
-        router = self.router
-        stats = router.bind(self.num_shards, backlog_of)
-        clustered = isinstance(router, ClusteredRouter)
-        served: List[ServedRequest] = []
-        idle = [False] * self.num_shards
-        counters = {
-            "batches": 0,
-            "replans": 0,
-            "max_batch": 0,
-            "steals": 0,
-            "preemptions": 0,
-            "planning_s": 0.0,
-        }
-        admitted = [0] * self.num_shards
-        dispatched = [0] * self.num_shards
-        stolen_in = [0] * self.num_shards
-        stolen_out = [0] * self.num_shards
-        readmitted = [0] * self.num_shards
-        #: request_id -> upcoming dispatch attempt number (absent = 1).
-        attempt_of: Dict[int, int] = {}
-        #: request_id -> sim time of its first mid-plan failure.
-        first_failure_at: Dict[int, float] = {}
-        shed_ids: List[int] = []
-        rejected_ids: List[int] = []
-        #: request_id -> plan-segment boundaries crossed (checkpoint
-        #: runs only; the recorder hook adds no events).
-        segments: Optional[Dict[int, int]] = (
-            {} if checkpoint_at_s is not None else None
+            protected=tuple(dict.fromkeys(leaders)),
+            inflight=PriorityResource,
+            charge_explore=not self.charges_planning,
+            preempt=_preemption_hook if self.preemption else None,
         )
-
-        controller = None
-        if self.control is not None:
-            controller = Controller(
-                self.control,
-                env,
-                trace_level=self.trace_level,
-                inflight=inflight,
-                router=router,
-                num_shards=self.num_shards,
-            )
+        cluster = self.cluster
+        num_shards = self.num_shards
+        env = run.env
+        runtime = run.runtime
+        executor = run.executor
+        queues = run.queues
+        inflight = run.inflight
+        idle = run.idle
+        dispatched = run.dispatched
+        counters = run.counters
+        controller = run.controller
+        fault_mode = run.fault_mode
+        router = run.router
+        clustered = isinstance(router, ClusteredRouter)
+        stolen_in = [0] * num_shards
+        stolen_out = [0] * num_shards
         # Leaders can move after fault arming (epoch re-election, or an
         # elastic rescale under the controller): such leaders are not
         # churn-protected, so the dispatcher re-checks availability.
@@ -380,148 +304,32 @@ class ShardedScheduler:
             and self.leader_policy != LEADERS_SHARED
         )
 
+        def move(source: int, taker: int, count: int = 1) -> None:
+            """Move ``count`` queued requests from ``source`` to ``taker``
+            on the steal ledger, so the per-shard reconciliation stays
+            exact."""
+            for _ in range(count):
+                queues[taker].put(queues[source].get_nowait())
+            idle[taker] = False  # its parked getter wakes with this item
+            counters["steals"] += count
+            stolen_out[source] += count
+            stolen_in[taker] += count
+
         def drain_shard(shard: int) -> int:
             """Move ``shard``'s queued items to healthy shards (breaker
-            trip / elastic merge).  The moves ride the steal ledger, so
-            the per-shard reconciliation stays exact.  With no healthy
-            target the items stay put (admission cannot drop work that
-            is already admitted)."""
-            queue = queues[shard]
-            moved = 0
+            trip / elastic merge).  With no healthy target the items
+            stay put (admission cannot drop work that is already
+            admitted)."""
             targets = [
                 other
-                for other in range(self.num_shards)
+                for other in range(num_shards)
                 if other != shard and router.allowed(other)
             ]
-            if not targets:
-                return 0
-            while queue.size > 0:
-                taker = min(targets, key=lambda other: (queues[other].size, other))
-                queues[taker].put(queue.get_nowait())
-                idle[taker] = False  # its parked getter wakes with this item
-                counters["steals"] += 1
-                stolen_out[shard] += 1
-                stolen_in[taker] += 1
+            moved = 0
+            while targets and queues[shard].size > 0:
+                move(shard, min(targets, key=lambda other: (queues[other].size, other)))
                 moved += 1
             return moved
-
-        def source():
-            for request in ordered:
-                if request.arrival_s > env.now:
-                    yield env.timeout(request.arrival_s - env.now)
-                if controller is not None:
-                    verdict = controller.admit(request)
-                    if verdict == REJECT:
-                        rejected_ids.append(request.request_id)
-                        continue
-                    if verdict == DOWNGRADE:
-                        request = replace(
-                            request,
-                            priority=request.priority
-                            + self.control.admission_downgrade_by,
-                        )
-                specializer.observe(request.model)
-                shard = router.route(request)
-                admitted[shard] += 1
-                queues[shard].put(request)
-
-        def readmit(request: InferenceRequest, delay_s: float):
-            if delay_s > 0:
-                yield env.timeout(delay_s)
-            shard = router.route(request)
-            readmitted[shard] += 1
-            idle[shard] = False  # its parked getter wakes with this item
-            queues[shard].put(request)
-
-        def handle_failure(
-            request: InferenceRequest, lost: DeviceLostError, shard: int
-        ) -> None:
-            """Retry, downgrade or shed one failed request (the policy)."""
-            attempt = attempt_of.get(request.request_id, 1)
-            fault_trace.record_failure(
-                request.request_id, lost.device, lost.segment, lost.time_s, attempt
-            )
-            first_failure_at.setdefault(request.request_id, lost.time_s)
-            if controller is not None:
-                # Feed the shard's breaker first: a failure burst trips
-                # it whatever the retry policy then decides.
-                controller.observe_failure(shard, dispatched[shard])
-            if attempt > retry.max_retries:
-                shed_ids.append(request.request_id)
-                fault_trace.record_shed(request.request_id)
-                return
-            again = request
-            if retry.degradation != DEGRADE_NONE:
-                pressure = sum(queue.size for queue in queues) + inflight.queue_length
-                if pressure > retry.pressure_threshold:
-                    if retry.degradation == DEGRADE_SHED:
-                        shed_ids.append(request.request_id)
-                        fault_trace.record_shed(request.request_id)
-                        return
-                    # Downgrade: re-admit at a worse priority class (the
-                    # PriorityResource then grants it after healthier
-                    # traffic) instead of dropping the work.
-                    again = replace(
-                        request,
-                        priority=request.priority + retry.downgrade_priority_by,
-                    )
-                    fault_trace.record_downgrade(request.request_id)
-            attempt_of[request.request_id] = attempt + 1
-            delay = retry.backoff_s(attempt, request.request_id)
-            fault_trace.record_retry(request.request_id, env.now + delay)
-            env.process(readmit(again, delay))
-
-        def serve(request: InferenceRequest, plan, slot, replanned: bool, shard: int):
-            holder = {"slot": slot}
-
-            def checkpoint():
-                if holder["slot"].preempt_requested:
-                    # Segment boundary: hand the slot to the urgent
-                    # waiter and re-queue at our own priority to resume.
-                    counters["preemptions"] += 1
-                    inflight.release(holder["slot"])
-                    resumed = inflight.request(
-                        priority=request.priority, preemptible=True
-                    )
-                    holder["slot"] = resumed
-                    yield resumed
-
-            hook = checkpoint if self.preemption else None
-            if segments is not None:
-                # Compose: count the boundary, then run the preemption
-                # hand-off (the recorder itself adds no events).
-                hook = _segment_recorder(segments, request.request_id, inner=hook)
-            try:
-                try:
-                    result = yield from executor.execute(
-                        request,
-                        plan,
-                        checkpoint=hook,
-                    )
-                except DeviceLostError as lost:
-                    if fault_trace is None:
-                        raise
-                    handle_failure(request, lost, shard)
-                    return
-                attempts = attempt_of.get(request.request_id, 1) if fault_mode else 1
-                served.append(
-                    ServedRequest(
-                        request=request,
-                        result=result,
-                        replanned=replanned,
-                        attempts=attempts,
-                    )
-                )
-                if controller is not None:
-                    controller.observe_completion(env.now - request.arrival_s, shard)
-                if fault_trace is not None:
-                    first = first_failure_at.get(request.request_id)
-                    if first is not None:
-                        fault_trace.record_recovery(
-                            request.request_id, env.now - first, attempts
-                        )
-            finally:
-                inflight.release(holder["slot"])
 
         def donate(shard: int) -> None:
             """Shed half the leftover backlog to shards parked idle."""
@@ -530,20 +338,14 @@ class ShardedScheduler:
                 return
             takers = [
                 other
-                for other in range(self.num_shards)
+                for other in range(num_shards)
                 if idle[other]
                 and (controller is None or controller.dispatch_ok(other))
             ]
             if not takers:
                 return
-            movable = queue.size // 2
-            for moved in range(movable):
-                taker = takers[moved % len(takers)]
-                queues[taker].put(queue.get_nowait())
-                idle[taker] = False  # its parked getter wakes with this item
-                counters["steals"] += 1
-                stolen_out[shard] += 1
-                stolen_in[taker] += 1
+            for moved in range(queue.size // 2):
+                move(shard, takers[moved % len(takers)])
 
         def steal(shard: int) -> int:
             """Pull half the most backlogged peer queue onto ``shard``.
@@ -560,10 +362,9 @@ class ShardedScheduler:
             """
             if controller is not None and not controller.dispatch_ok(shard):
                 return 0
-            queue = queues[shard]
             victim = None
             depth = 0
-            for other in range(self.num_shards):
+            for other in range(num_shards):
                 if other == shard:
                     continue
                 size = queues[other].size
@@ -571,32 +372,25 @@ class ShardedScheduler:
                     victim, depth = other, size
             if victim is None:
                 return 0
-            moved = depth // 2
-            for _ in range(moved):
-                queue.put(queues[victim].get_nowait())
-            counters["steals"] += moved
-            stolen_out[victim] += moved
-            stolen_in[shard] += moved
-            return moved
+            move(victim, shard, depth // 2)
+            return depth // 2
 
-        # The load bucket is a pure function of the snapshot, which is
-        # itself a pure function of (clock, commitment version); memoise
-        # it per state token so the per-dispatch drift check costs a
-        # tuple compare instead of a quantisation pass.  Rides the sim
-        # fast path so the reference configuration keeps the seed cost.
-        bucket_memo = [None, None]
-        memoise_buckets = env._fast
+        def live_leader(shard: int) -> str:
+            """``shard``'s leader, re-elected first if it has died.
 
-        def bucket_of(load) -> object:
-            if not memoise_buckets:
-                return self._bucket_key(load)
-            token = (env.now, runtime._load_version)
-            if bucket_memo[0] == token:
-                return bucket_memo[1]
-            bucket = self._bucket_key(load)
-            bucket_memo[0] = token
-            bucket_memo[1] = bucket
-            return bucket
+            Checked before every planning pass: a dispatcher cannot plan
+            from a dead brain, and leaders elected after arming (epoch
+            boundaries, elastic rescales) are not churn-protected, so
+            one can leave at any yield of the dispatcher.
+            """
+            leader = leaders[shard]
+            if dynamic_leaders and fault_mode and not cluster.is_available(leader):
+                leader = cluster.elect_leader(
+                    LEADER_LEAST_LOADED,
+                    load=runtime.load_snapshot(view=self.load_view),
+                ).name
+                leaders[shard] = leader
+            return leader
 
         def dispatcher(shard: int):
             queue = queues[shard]
@@ -614,34 +408,16 @@ class ShardedScheduler:
                     batch.append(item)
                 # Epoch re-election moves leaders between batches, so
                 # the leader binds per batch (static policies never
-                # mutate ``leaders``: byte-identical to the old
-                # loop-entry binding).
-                leader = leaders[shard]
-                if (
-                    dynamic_leaders
-                    and fault_mode
-                    and not self.cluster.is_available(leader)
-                ):
-                    # A dynamically (re-)elected leader died mid-epoch:
-                    # re-elect immediately (a dispatcher cannot plan from
-                    # a dead brain, and leaders elected after arming --
-                    # epoch boundaries, elastic rescales -- are not
-                    # churn-protected).
-                    leader = self.cluster.elect_leader(
-                        LEADER_LEAST_LOADED,
-                        load=runtime.load_snapshot(view=self.load_view),
-                    ).name
-                    leaders[shard] = leader
+                # mutate ``leaders``).
+                leader = live_leader(shard)
                 counters["batches"] += 1
                 counters["max_batch"] = max(counters["max_batch"], len(batch))
                 donate(shard)
                 # Urgent-first dispatch order; stable, so FIFO per class.
                 batch.sort(key=lambda request: request.priority)
                 load = runtime.load_snapshot(view=self.load_view)
-                batch_bucket = bucket_of(load)
-                batch_avail = (
-                    self.cluster.availability_signature() if fault_mode else None
-                )
+                batch_bucket = run.bucket_of(load)
+                batch_avail = cluster.availability_signature() if fault_mode else None
                 graphs = [build_model(request.model) for request in batch]
                 charge = self._planning_charge_s(
                     graphs, load, leader=leader, partition=partition
@@ -649,8 +425,9 @@ class ShardedScheduler:
                 if charge > 0:
                     counters["planning_s"] += charge
                     yield from executor.charge_overhead(leader, charge, "batch_dse")
+                    leader = live_leader(shard)
                 plans = self.strategy.plan_batch(
-                    graphs, self.cluster, load=load, leader=leader, partition=partition
+                    graphs, cluster, load=load, leader=leader, partition=partition
                 )
                 fresh = [False] * len(batch)
                 for index, request in enumerate(batch):
@@ -661,19 +438,19 @@ class ShardedScheduler:
                     )
                     yield slot  # backpressure: wait for an in-flight slot
                     current = runtime.load_snapshot(view=self.load_view)
-                    current_bucket = bucket_of(current)
+                    current_bucket = run.bucket_of(current)
                     drifted = current_bucket != batch_bucket
                     if fault_mode and not drifted:
                         # Availability drift: a device joined or left
                         # while the batch waited -- replan the tail so
                         # dispatches never carry a plan spanning a
                         # device known to be gone.
-                        drifted = self.cluster.availability_signature() != batch_avail
+                        drifted = cluster.availability_signature() != batch_avail
                     if drifted:
                         # Drifted past the batch's bucket: re-co-plan
                         # the remaining tail in one pass and adopt the
-                        # fresh bucket (same fix as the single-leader
-                        # dispatcher).
+                        # fresh bucket.
+                        leader = live_leader(shard)
                         tail = graphs[index:]
                         recharge = self._planning_charge_s(
                             tail, current, leader=leader, partition=partition
@@ -683,21 +460,18 @@ class ShardedScheduler:
                             yield from executor.charge_overhead(
                                 leader, recharge, "replan_dse"
                             )
+                            leader = live_leader(shard)
                         plans[index:] = self.strategy.plan_batch(
-                            tail,
-                            self.cluster,
-                            load=current,
-                            leader=leader,
-                            partition=partition,
+                            tail, cluster, load=current, leader=leader, partition=partition
                         )
                         for late in range(index, len(batch)):
                             fresh[late] = True
                         batch_bucket = current_bucket
                         if fault_mode:
-                            batch_avail = self.cluster.availability_signature()
+                            batch_avail = cluster.availability_signature()
                         counters["replans"] += 1
                     dispatched[shard] += 1
-                    env.process(serve(request, plans[index], slot, fresh[index], shard))
+                    env.process(run.serve(request, plans[index], slot, fresh[index], shard))
 
         def epoch_driver():
             # Ticks every epoch_s until the stream settles: each tick
@@ -710,149 +484,45 @@ class ShardedScheduler:
             # requests are served, shed or rejected.
             while True:
                 yield env.timeout(self.epoch_s)
-                if len(served) + len(shed_ids) + len(rejected_ids) >= len(ordered):
+                if run.settled():
                     break
-                plan = specializer.respecialize()
+                plan = run.specializer.respecialize()
                 if clustered:
                     router.adopt(plan.ranking)
                 reelected = False
                 if self.leader_policy == LEADERS_EPOCH:
-                    elected = self.cluster.reelect_shard_leaders(
-                        self.num_shards,
-                        load=runtime.load_snapshot(view=self.load_view),
+                    elected = cluster.reelect_shard_leaders(
+                        num_shards, load=runtime.load_snapshot(view=self.load_view)
                     )
                     reelected = list(elected) != leaders
                     leaders[:] = elected
-                stats.record_epoch(env.now, leaders, plan.specialty_models, reelected)
+                run.stats.record_epoch(env.now, leaders, plan.specialty_models, reelected)
 
         def rescale(old: int, new: int) -> None:
             """Elastic scale step: re-elect the active prefix's leaders
-            through the PR 7 machinery (shared leadership has nothing to
-            re-elect -- every shard plans from ``devices[0]``)."""
+            (shared leadership has nothing to re-elect -- every shard
+            plans from ``devices[0]``)."""
             del old
             if self.leader_policy == LEADERS_SHARED:
                 return
-            elected = self.cluster.reelect_shard_leaders(
+            elected = cluster.reelect_shard_leaders(
                 new, load=runtime.load_snapshot(view=self.load_view)
             )
             leaders[:new] = elected
 
-        if controller is not None:
-
-            def est_wait_s() -> float:
-                # Capacity-weighted backlog over every available
-                # station: a min over devices would always find an
-                # idle weak core and the deadline door would never
-                # close, so congestion on the cores that do the work
-                # has to dominate the estimate.
-                total = 0.0
-                weight = 0.0
-                for device in self.cluster.devices:
-                    if not self.cluster.is_available(device.name):
-                        continue
-                    for station in runtime.stations_of(device.name):
-                        total += station.compute_weight * station.backlog_seconds
-                        weight += station.compute_weight
-                return total / weight if weight > 0.0 else 0.0
-
-            controller.bind(
-                pressure_of=lambda: sum(queue.size for queue in queues)
-                + inflight.queue_length,
-                queue_depth=lambda: sum(queue.size for queue in queues),
-                est_wait_s=est_wait_s,
-                drain_shard=drain_shard,
-                rescale=rescale,
-                injector=injector if fault_mode else None,
-            )
-
-        def control_driver():
-            # The controller's wake loop: same settlement idiom as the
-            # epoch driver, so its timer never outlives the stream.
-            while True:
-                yield env.timeout(self.control.interval_s)
-                if len(served) + len(shed_ids) + len(rejected_ids) >= len(ordered):
-                    break
-                controller.wake()
-
-        env.process(source())
-        for shard in range(self.num_shards):
-            env.process(dispatcher(shard))
+        processes = [dispatcher(shard) for shard in range(num_shards)]
         if self.epoch_s > 0:
-            env.process(epoch_driver())
-        if controller is not None:
-            env.process(control_driver())
-
-        def finish() -> ServingResult:
-            env.run()
-            settled = len(served) + len(shed_ids) + len(rejected_ids)
-            if settled != len(ordered):
-                raise RuntimeError(
-                    f"{len(ordered) - settled} requests never completed (deadlock?)"
-                )
-            served.sort(key=lambda record: record.request.request_id)
-            makespan = max((record.completed_s for record in served), default=0.0)
-            energy_by_device = cluster_energy_j(
-                self.cluster, runtime.busy, (0.0, makespan)
-            )
-            return build_result(makespan, energy_by_device)
-
-        def build_result(makespan, energy_by_device) -> ServingResult:
-            return ServingResult(
-                strategy=self.strategy.name,
-                served=served,
-                makespan_s=makespan,
-                energy_j=sum(energy_by_device.values()),
-                energy_by_device=energy_by_device,
-                network_bytes=runtime.transfer_log.total_bytes,
-                total_flops=runtime.flops_log.total_flops,
-                busy=runtime.busy,
-                batches=counters["batches"],
-                replans=counters["replans"],
-                max_batch_observed=counters["max_batch"],
-                shards=self.num_shards,
-                steals=counters["steals"],
-                preemptions=counters["preemptions"],
+            processes.append(epoch_driver())
+        return run.start(
+            processes,
+            drain_shard=drain_shard,
+            rescale=rescale,
+            extra_fields=lambda: dict(
                 leader_devices=tuple(leaders),
-                admitted_by_shard=tuple(admitted),
+                admitted_by_shard=tuple(run.admitted),
                 dispatched_by_shard=tuple(dispatched),
                 stolen_in_by_shard=tuple(stolen_in),
                 stolen_out_by_shard=tuple(stolen_out),
-                planning_charged_s=counters["planning_s"],
-                sim_events=env.scheduled_events,
-                failures=fault_trace.failures if fault_trace is not None else 0,
-                retries=fault_trace.retries if fault_trace is not None else 0,
-                shed=len(shed_ids),
-                downgraded=fault_trace.downgraded if fault_trace is not None else 0,
-                fault_events=injector.applied if injector is not None else 0,
-                readmitted_by_shard=tuple(readmitted),
-                shed_requests=(
-                    tuple(sorted(shed_ids)) if self.trace_level == TRACE_FULL else ()
-                ),
-                faults=fault_trace,
-                router=router.name,
-                epochs=stats.epochs,
-                spilled=stats.spilled,
-                cold_routed=stats.cold,
-                leader_reelections=stats.reelections,
-                routing=stats,
-                rejected=len(rejected_ids),
-                rejected_requests=(
-                    tuple(sorted(rejected_ids)) if self.trace_level == TRACE_FULL else ()
-                ),
-                control=controller.trace if controller is not None else None,
-            )
-
-        if checkpoint_at_s is not None:
-            # Pause: drain the exact event prefix up to the requested
-            # time, capture the state, and hand control back.  finish()
-            # later continues from the same heap, so the pause never
-            # perturbs the schedule.
-            env.run(until=checkpoint_at_s)
-            return RunCheckpoint(
-                runtime=runtime,
-                snapshot=runtime.snapshot(),
-                finish=finish,
-                served_count=len(served),
-                segments=dict(segments),
-            )
-        return finish()
+                readmitted_by_shard=tuple(run.readmitted),
+            ),
+        )
