@@ -48,7 +48,6 @@ from repro.core.hidp import HiDPStrategy
 from repro.core.strategy import Strategy
 from repro.dnn.models import build_model
 from repro.faults import (
-    DEGRADE_DOWNGRADE,
     DEGRADE_NONE,
     DEGRADE_SHED,
     DeviceLostError,
@@ -312,18 +311,16 @@ class RunCheckpoint:
         "sim_time",
         "served_count",
         "segments",
-        "_runtime",
+        "_run",
         "_snapshot",
-        "_finish",
     )
 
-    def __init__(self, runtime, snapshot, finish, served_count, segments):
-        self.sim_time = snapshot.sim_time
-        self.served_count = served_count
-        self.segments = segments
-        self._runtime = runtime
-        self._snapshot = snapshot
-        self._finish = finish
+    def __init__(self, run: "ServingRun"):
+        self._run = run
+        self._snapshot = run.runtime.snapshot()
+        self.sim_time = self._snapshot.sim_time
+        self.served_count = len(run.served)
+        self.segments = dict(run.segments)
 
     @property
     def pending_events(self) -> int:
@@ -332,8 +329,8 @@ class RunCheckpoint:
 
     def resume(self) -> "ServingResult":
         """Rewind to the captured state and drain the run to its end."""
-        self._runtime.restore(self._snapshot)
-        return self._finish()
+        self._run.runtime.restore(self._snapshot)
+        return self._run.finish()
 
 
 def _segment_recorder(segments: Dict[int, int], request_id: int, inner=None):
@@ -351,7 +348,6 @@ def _segment_recorder(segments: Dict[int, int], request_id: int, inner=None):
             yield from inner()
 
     return checkpoint
-
 
 
 class ServingRun:
@@ -656,9 +652,7 @@ class ServingRun:
                     raise
                 self.handle_failure(request, lost, shard)
                 return
-            attempts = (
-                self.attempt_of.get(request.request_id, 1) if self.fault_mode else 1
-            )
+            attempts = self.attempt_of.get(request.request_id, 1)
             self.served.append(
                 ServedRequest(
                     request=request,
@@ -721,22 +715,15 @@ class ServingRun:
         # continues from the same heap, so the pause never perturbs the
         # schedule.
         env.run(until=self.checkpoint_at_s)
-        return RunCheckpoint(
-            runtime=self.runtime,
-            snapshot=self.runtime.snapshot(),
-            finish=self.finish,
-            served_count=len(self.served),
-            segments=dict(self.segments),
-        )
+        return RunCheckpoint(self)
 
     def finish(self) -> ServingResult:
         self.env.run()
         served = self.served
-        settled = len(served) + len(self.shed_ids) + len(self.rejected_ids)
-        if settled != len(self.ordered):
-            raise RuntimeError(
-                f"{len(self.ordered) - settled} requests never completed (deadlock?)"
-            )
+        if not self.settled():
+            missing = len(self.ordered) - len(served) - len(self.shed_ids)
+            missing -= len(self.rejected_ids)
+            raise RuntimeError(f"{missing} requests never completed (deadlock?)")
         served.sort(key=lambda record: record.request.request_id)
         makespan = max((record.completed_s for record in served), default=0.0)
         runtime = self.runtime
@@ -876,7 +863,7 @@ class OnlineScheduler:
         # (parked getters do not keep the simulation alive).  With a
         # controller the loop is open-ended too: door rejections mean
         # the dispatch count never reaches len(ordered).
-        open_ended = fault_mode or run.controller is not None
+        open_ended = fault_mode or self.control is not None
         while remaining > 0 or open_ended:
             first = yield queue.get()
             batch = [first]

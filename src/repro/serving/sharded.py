@@ -97,10 +97,9 @@ their teeth.
 from __future__ import annotations
 
 from math import inf
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.strategy import Strategy
-from repro.dnn.graph import DNNGraph
 from repro.dnn.models import build_model
 from repro.faults import PerturbationProcess, RetryPolicy
 from repro.platform.cluster import LEADER_LEAST_LOADED, Cluster
@@ -226,23 +225,6 @@ class ShardedScheduler:
     def charges_planning(self) -> bool:
         return self.planning_overhead != PLANNING_OFF
 
-    def _planning_charge_s(
-        self,
-        graphs: Sequence[DNNGraph],
-        load: Optional[Dict[str, float]],
-        leader: Optional[str] = None,
-        partition: Optional[int] = None,
-    ) -> float:
-        """Simulated seconds one planning pass costs the scheduler CPU."""
-        if self.planning_overhead == PLANNING_OFF:
-            return 0.0
-        if self.planning_overhead == PLANNING_BUCKET:
-            fresh = self.strategy.uncached_plans(
-                graphs, self.cluster, load=load, leader=leader, partition=partition
-            )
-            return self.strategy.dse_overhead_s * fresh
-        return float(self.planning_overhead)
-
     def shard_leaders(self) -> List[str]:
         """Initial physical leader device name per shard, per the leader
         policy (``epoch`` starts distributed and re-elects at epoch
@@ -283,9 +265,7 @@ class ShardedScheduler:
         num_shards = self.num_shards
         env = run.env
         runtime = run.runtime
-        executor = run.executor
         queues = run.queues
-        inflight = run.inflight
         idle = run.idle
         dispatched = run.dispatched
         counters = run.counters
@@ -362,18 +342,17 @@ class ShardedScheduler:
             """
             if controller is not None and not controller.dispatch_ok(shard):
                 return 0
-            victim = None
-            depth = 0
-            for other in range(num_shards):
-                if other == shard:
-                    continue
-                size = queues[other].size
-                if size >= self.steal_threshold and size > depth:
-                    victim, depth = other, size
-            if victim is None:
+            victims = [
+                other
+                for other in range(num_shards)
+                if other != shard and queues[other].size >= self.steal_threshold
+            ]
+            if not victims:
                 return 0
-            move(victim, shard, depth // 2)
-            return depth // 2
+            victim = max(victims, key=lambda other: queues[other].size)
+            moved = queues[victim].size // 2
+            move(victim, shard, moved)
+            return moved
 
         def live_leader(shard: int) -> str:
             """``shard``'s leader, re-elected first if it has died.
@@ -392,11 +371,38 @@ class ShardedScheduler:
                 leaders[shard] = leader
             return leader
 
+        def plan_pass(shard: int, graphs, load, label: str):
+            """Co-plan ``graphs`` in one pass from ``shard``'s leader,
+            charging the pass on the leader's scheduler CPU first.
+
+            Epoch re-election moves leaders between batches, so the
+            leader binds per pass (static policies never mutate
+            ``leaders``), and it is re-checked after the charge, during
+            which a dynamically elected leader can leave.  Clustered
+            mode partitions the plan cache per shard, so a specialist's
+            hot cluster survives other shards' churn.
+            """
+            partition = shard if clustered else None
+            leader = live_leader(shard)
+            charge = 0.0
+            if self.planning_overhead == PLANNING_BUCKET:
+                # Only *fresh* (model, load-bucket) plans cost DSE time.
+                fresh = self.strategy.uncached_plans(
+                    graphs, cluster, load=load, leader=leader, partition=partition
+                )
+                charge = self.strategy.dse_overhead_s * fresh
+            elif self.planning_overhead != PLANNING_OFF:
+                charge = float(self.planning_overhead)
+            if charge > 0:
+                counters["planning_s"] += charge
+                yield from run.executor.charge_overhead(leader, charge, label)
+                leader = live_leader(shard)
+            return self.strategy.plan_batch(
+                graphs, cluster, load=load, leader=leader, partition=partition
+            )
+
         def dispatcher(shard: int):
             queue = queues[shard]
-            # Clustered mode partitions the plan cache per shard, so a
-            # specialist's hot cluster survives other shards' churn.
-            partition = shard if clustered else None
             while True:
                 if queue.size == 0 and not steal(shard):
                     idle[shard] = True
@@ -406,10 +412,6 @@ class ShardedScheduler:
                 while queue.size > 0 and len(batch) < self.max_batch:
                     item = yield queue.get()
                     batch.append(item)
-                # Epoch re-election moves leaders between batches, so
-                # the leader binds per batch (static policies never
-                # mutate ``leaders``).
-                leader = live_leader(shard)
                 counters["batches"] += 1
                 counters["max_batch"] = max(counters["max_batch"], len(batch))
                 donate(shard)
@@ -419,19 +421,10 @@ class ShardedScheduler:
                 batch_bucket = run.bucket_of(load)
                 batch_avail = cluster.availability_signature() if fault_mode else None
                 graphs = [build_model(request.model) for request in batch]
-                charge = self._planning_charge_s(
-                    graphs, load, leader=leader, partition=partition
-                )
-                if charge > 0:
-                    counters["planning_s"] += charge
-                    yield from executor.charge_overhead(leader, charge, "batch_dse")
-                    leader = live_leader(shard)
-                plans = self.strategy.plan_batch(
-                    graphs, cluster, load=load, leader=leader, partition=partition
-                )
+                plans = yield from plan_pass(shard, graphs, load, "batch_dse")
                 fresh = [False] * len(batch)
                 for index, request in enumerate(batch):
-                    slot = inflight.request(
+                    slot = run.inflight.request(
                         priority=request.priority,
                         preemptible=self.preemption,
                         preempt=self.preemption,
@@ -450,19 +443,8 @@ class ShardedScheduler:
                         # Drifted past the batch's bucket: re-co-plan
                         # the remaining tail in one pass and adopt the
                         # fresh bucket.
-                        leader = live_leader(shard)
-                        tail = graphs[index:]
-                        recharge = self._planning_charge_s(
-                            tail, current, leader=leader, partition=partition
-                        )
-                        if recharge > 0:
-                            counters["planning_s"] += recharge
-                            yield from executor.charge_overhead(
-                                leader, recharge, "replan_dse"
-                            )
-                            leader = live_leader(shard)
-                        plans[index:] = self.strategy.plan_batch(
-                            tail, cluster, load=current, leader=leader, partition=partition
+                        plans[index:] = yield from plan_pass(
+                            shard, graphs[index:], current, "replan_dse"
                         )
                         for late in range(index, len(batch)):
                             fresh[late] = True
