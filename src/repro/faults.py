@@ -78,6 +78,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import inf
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.serving import StreamingStats
@@ -479,10 +480,10 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError(f"negative max_retries: {self.max_retries}")
-        if self.backoff_base_s < 0:
-            raise ValueError(f"negative backoff: {self.backoff_base_s}")
-        if self.backoff_factor < 1.0:
-            raise ValueError(f"backoff factor must be >= 1, got {self.backoff_factor}")
+        if not 0 <= self.backoff_base_s < inf:
+            raise ValueError(f"backoff must be finite and >= 0: {self.backoff_base_s}")
+        if not 1.0 <= self.backoff_factor < inf:
+            raise ValueError(f"backoff factor must be finite and >= 1: {self.backoff_factor}")
         if self.degradation not in DEGRADATIONS:
             raise ValueError(
                 f"unknown degradation {self.degradation!r}; known: {DEGRADATIONS}"
@@ -491,8 +492,8 @@ class RetryPolicy:
             raise ValueError(f"negative pressure threshold: {self.pressure_threshold}")
         if self.downgrade_priority_by < 0:
             raise ValueError(f"negative downgrade: {self.downgrade_priority_by}")
-        if self.jitter < 0:
-            raise ValueError(f"negative jitter: {self.jitter}")
+        if not 0 <= self.jitter < inf:
+            raise ValueError(f"jitter must be finite and >= 0: {self.jitter}")
 
     def backoff_s(self, attempt: int, request_id: int = 0) -> float:
         """Queue delay charged before re-admission number ``attempt`` (1-based).

@@ -51,6 +51,7 @@ the cross-hatch matrix).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Callable, Dict, List, Optional
 
 from repro.metrics.serving import SignalWindow, percentile
@@ -155,10 +156,10 @@ class ControlPolicy:
     battery_margin: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.interval_s <= 0:
-            raise ValueError(f"control interval must be positive, got {self.interval_s}")
-        if self.slo_s <= 0:
-            raise ValueError(f"slo_s must be positive, got {self.slo_s}")
+        if not 0 < self.interval_s < inf:
+            raise ValueError(f"control interval must be finite and > 0: {self.interval_s}")
+        if not 0 < self.slo_s < inf:
+            raise ValueError(f"slo_s must be finite and positive, got {self.slo_s}")
         if not 1 <= self.min_inflight <= self.max_inflight:
             raise ValueError(
                 f"need 1 <= min_inflight <= max_inflight, got "
@@ -172,9 +173,9 @@ class ControlPolicy:
             raise ValueError(f"headroom must sit in (0, 1], got {self.headroom}")
         if self.min_shards < 1:
             raise ValueError(f"min_shards must be positive, got {self.min_shards}")
-        if self.scale_up_backlog <= self.scale_down_backlog:
+        if not -inf < self.scale_down_backlog < self.scale_up_backlog < inf:
             raise ValueError(
-                "scale_up_backlog must exceed scale_down_backlog "
+                "scale_up_backlog must exceed scale_down_backlog, both finite "
                 f"({self.scale_up_backlog} vs {self.scale_down_backlog})"
             )
         if self.admission not in ADMISSIONS:
@@ -187,10 +188,10 @@ class ControlPolicy:
             raise ValueError(f"negative downgrade: {self.admission_downgrade_by}")
         if self.breaker_failures < 0:
             raise ValueError(f"negative breaker threshold: {self.breaker_failures}")
-        if self.breaker_window_s <= 0 or self.breaker_cooldown_s <= 0:
-            raise ValueError("breaker window and cooldown must be positive")
-        if self.battery_margin < 0:
-            raise ValueError(f"negative battery margin: {self.battery_margin}")
+        if not (0 < self.breaker_window_s < inf and 0 < self.breaker_cooldown_s < inf):
+            raise ValueError("breaker window and cooldown must be positive and finite")
+        if not 0 <= self.battery_margin < inf:
+            raise ValueError(f"battery margin must be finite and >= 0: {self.battery_margin}")
 
     @classmethod
     def noop(cls, interval_s: float = 0.25) -> "ControlPolicy":

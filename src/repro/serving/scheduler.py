@@ -609,24 +609,21 @@ class ServingRun:
             # Feed the shard's breaker first: a failure burst trips it
             # whatever the retry policy then decides.
             self.controller.observe_failure(shard, self.dispatched[shard])
-        if attempt > retry.max_retries:
+        pressured = (
+            attempt <= retry.max_retries
+            and retry.degradation != DEGRADE_NONE
+            and self.pressure() > retry.pressure_threshold
+        )
+        if attempt > retry.max_retries or (pressured and retry.degradation == DEGRADE_SHED):
             self.shed_ids.append(request.request_id)
             fault_trace.record_shed(request.request_id)
             return
         again = request
-        if retry.degradation != DEGRADE_NONE:
-            if self.pressure() > retry.pressure_threshold:
-                if retry.degradation == DEGRADE_SHED:
-                    self.shed_ids.append(request.request_id)
-                    fault_trace.record_shed(request.request_id)
-                    return
-                # Downgrade: re-admit at a worse priority class instead
-                # of dropping the work.
-                again = replace(
-                    request,
-                    priority=request.priority + retry.downgrade_priority_by,
-                )
-                fault_trace.record_downgrade(request.request_id)
+        if pressured:
+            # Downgrade: re-admit at a worse priority class instead of
+            # dropping the work.
+            again = replace(request, priority=request.priority + retry.downgrade_priority_by)
+            fault_trace.record_downgrade(request.request_id)
         self.attempt_of[request.request_id] = attempt + 1
         # Exponential backoff (deterministically jittered when the
         # policy asks) charged as queue delay; the request then rejoins
@@ -853,7 +850,6 @@ class OnlineScheduler:
         strategy = self.strategy
         runtime = run.runtime
         queue = run.queues[0]
-        inflight = run.inflight
         counters = run.counters
         fault_mode = run.fault_mode
         remaining = len(run.ordered)
@@ -879,7 +875,7 @@ class OnlineScheduler:
             plans = strategy.plan_batch(graphs, cluster, load=load)
             fresh = [False] * len(batch)
             for index, request in enumerate(batch):
-                slot = inflight.request()
+                slot = run.inflight.request()
                 yield slot  # backpressure: wait for an in-flight slot
                 current = runtime.load_snapshot()
                 current_bucket = run.bucket_of(current)

@@ -27,6 +27,7 @@ same seeded generator (lower priority value = more urgent).  Leaving it
 from __future__ import annotations
 
 import random
+from math import inf
 from typing import List, Mapping, Optional, Sequence
 
 from repro.workloads.requests import InferenceRequest, PRIORITY_NORMAL
@@ -72,8 +73,8 @@ def poisson_stream(
     priority_weights: Optional[Mapping[int, float]] = None,
 ) -> List[InferenceRequest]:
     """``num_requests`` Poisson arrivals at ``rate_rps`` requests/s."""
-    if rate_rps <= 0:
-        raise ValueError(f"arrival rate must be positive, got {rate_rps}")
+    if not 0 < rate_rps < inf:
+        raise ValueError(f"arrival rate must be finite and positive, got {rate_rps}")
     if num_requests < 1:
         raise ValueError(f"need at least one request, got {num_requests}")
     rng = random.Random(seed)
@@ -105,10 +106,10 @@ def bursty_stream(
     """
     if burst_size < 1 or num_bursts < 1:
         raise ValueError(f"bursts must be non-empty: {burst_size} x {num_bursts}")
-    if mean_gap_s <= 0:
-        raise ValueError(f"mean gap must be positive, got {mean_gap_s}")
-    if intra_burst_s < 0:
-        raise ValueError(f"negative intra-burst spacing: {intra_burst_s}")
+    if not 0 < mean_gap_s < inf:
+        raise ValueError(f"mean gap must be finite and positive, got {mean_gap_s}")
+    if not 0 <= intra_burst_s < inf:
+        raise ValueError(f"intra-burst spacing must be finite and >= 0: {intra_burst_s}")
     rng = random.Random(seed)
     arrivals = []
     now = 0.0
@@ -136,9 +137,11 @@ def heavy_tailed_stream(
     long lulls followed by clustered arrivals.  ``max_gap_s`` truncates
     pathological draws so a single sample cannot dominate the horizon.
     """
-    if scale_s <= 0:
-        raise ValueError(f"scale must be positive, got {scale_s}")
-    if alpha <= 1.0:
+    if not 0 < scale_s < inf:
+        raise ValueError(f"scale must be finite and positive, got {scale_s}")
+    if max_gap_s is not None and not 0 < max_gap_s < inf:
+        raise ValueError(f"max gap must be finite and positive, got {max_gap_s}")
+    if not 1.0 < alpha < inf:
         raise ValueError(f"alpha must exceed 1 for a finite mean, got {alpha}")
     if num_requests < 1:
         raise ValueError(f"need at least one request, got {num_requests}")

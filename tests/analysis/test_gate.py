@@ -3,7 +3,9 @@
 This is the machine-checked contract the analyzer exists for -- every
 unsuppressed, unbaselined finding over ``src/repro`` fails the suite.
 The gate also writes ``BENCH_analysis.json`` (rule/module/finding
-counts) so the artifact diff surfaces suppression creep between PRs.
+counts) so the artifact diff surfaces suppression creep between PRs,
+plus the ``src/repro`` line count (what ``wc -l`` over its ``.py``
+files reports), so code size is tracked as a metric next to speed.
 """
 
 import json
@@ -55,6 +57,10 @@ def test_gate_writes_bench_artifact(gate_findings):
         "summary": summary,
         "baseline_entries": baseline.count,
         "suppressions": summary["suppressed"],
+        "src_lines": sum(
+            path.read_bytes().count(b"\n")
+            for path in (REPO / "src" / "repro").rglob("*.py")
+        ),
     }
     (REPO / "BENCH_analysis.json").write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"

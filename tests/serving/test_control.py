@@ -94,6 +94,16 @@ class TestControlPolicyValidation:
         assert policy.breaker_failures == 0
         assert policy.battery_margin == 0.0
 
+    def test_online_scheduler_rejects_breakers(self):
+        # One shard has nothing to route around: the breaker would never
+        # be fed a failure.
+        with pytest.raises(ValueError, match="circuit breakers"):
+            OnlineScheduler(control=ControlPolicy(breaker_failures=2))
+
+    def test_online_scheduler_rejects_elastic_shards(self):
+        with pytest.raises(ValueError, match="elastic shards"):
+            OnlineScheduler(control=ControlPolicy(elastic=True))
+
     def test_min_shards_must_fit_num_shards(self):
         with pytest.raises(ValueError):
             ShardedScheduler(

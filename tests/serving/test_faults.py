@@ -25,9 +25,15 @@ from repro.faults import (
     PerturbationProcess,
     RetryPolicy,
 )
+from repro.dnn.models import MODEL_NAMES
 from repro.platform.cluster import build_cluster
 from repro.platform.power import BatteryModel
-from repro.serving import ControlPolicy, OnlineScheduler, ShardedScheduler
+from repro.serving import (
+    ClusteredRouter,
+    ControlPolicy,
+    OnlineScheduler,
+    ShardedScheduler,
+)
 from repro.sim.runtime import SimRuntime
 from repro.sim.trace import TRACE_AGGREGATE, TraceLevelError
 from repro.workloads.arrivals import poisson_stream
@@ -761,3 +767,40 @@ class TestBatteryDrain:
         )
         assert base == empty
         assert base == ample
+
+
+class TestEpochLeadersUnderChurn:
+    """Leaders elected after fault arming are not churn-protected, so one
+    can leave while its dispatcher yields.  The dispatcher must re-elect
+    before planning instead of planning from the dead leader."""
+
+    def test_leader_lost_during_planning_charge_is_replaced(self):
+        # Shrunk from a 1000-request stream on which the epoch-elected
+        # leader raspberry_pi4 left during a batch's planning charge at
+        # t=194.16 s and the dispatcher crashed planning from it.  The
+        # fault timeline keeps the full stream's horizon, so the outage
+        # lands at the same instant.
+        full = poisson_stream(MODEL_NAMES, rate_rps=1.2, num_requests=1000, seed=2652132133)
+        requests = full[:250]
+        result = ShardedScheduler(
+            cluster=build_cluster(),
+            num_shards=4,
+            max_inflight=8,
+            faults=PerturbationProcess(
+                seed=2652132133,
+                horizon_s=max(request.arrival_s for request in full),
+                churn_rate=0.4,
+                mean_outage_s=0.8,
+                link_rate=0.15,
+                dvfs_rate=0.15,
+            ),
+            retry=RetryPolicy(max_retries=3),
+            router=ClusteredRouter(),
+            leader_policy="epoch",
+            epoch_s=2.0,
+            trace_level=TRACE_AGGREGATE,
+        ).run(requests)
+        assert result.fault_events > 0
+        assert result.count + result.shed == len(requests)
+        assert result.failures == result.retries + result.shed
+        assert result.leader_reelections > 0
