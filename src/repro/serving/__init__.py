@@ -43,7 +43,9 @@ exactly.
 
 Both return a :class:`~repro.serving.scheduler.ServingResult` with
 latency percentiles (overall and per priority class), SLO attainment,
-wall + steady-state throughput, and scheduler counters.
+wall + steady-state throughput, and scheduler counters.  Everything but
+their dispatchers is one shared request lifecycle,
+:class:`~repro.serving.scheduler.ServingRun`.
 
 Physical leaders (ISSUE 5): the :class:`ShardedScheduler` additionally
 accepts ``leader_policy="distributed"``, pinning a *physical* leader

@@ -475,8 +475,9 @@ class ServingRun:
             "planning_s": 0.0,
         }
         #: Per-shard ledgers: admissions, retry re-admissions and
-        #: dispatches (filled by the dispatchers); ``idle`` marks a
-        #: dispatcher parked on its empty queue.
+        #: dispatches (the sharded dispatchers count them; the count
+        #: feeds the breakers); ``idle`` marks a dispatcher parked on
+        #: its empty queue.
         self.admitted = [0] * num_shards
         self.readmitted = [0] * num_shards
         self.dispatched = [0] * num_shards
@@ -847,7 +848,6 @@ class OnlineScheduler:
         """FIFO batches from the one admission queue, planned from
         ``devices[0]``."""
         cluster = self.cluster
-        strategy = self.strategy
         runtime = run.runtime
         queue = run.queues[0]
         counters = run.counters
@@ -872,7 +872,7 @@ class OnlineScheduler:
             batch_bucket = run.bucket_of(load)
             batch_avail = cluster.availability_signature() if fault_mode else None
             graphs = [build_model(request.model) for request in batch]
-            plans = strategy.plan_batch(graphs, cluster, load=load)
+            plans = self.strategy.plan_batch(graphs, cluster, load=load)
             fresh = [False] * len(batch)
             for index, request in enumerate(batch):
                 slot = run.inflight.request()
@@ -893,7 +893,7 @@ class OnlineScheduler:
                     # its bucket, so one drift does not degrade the rest
                     # of the batch to per-request planning (the plan
                     # cache absorbs repeat buckets).
-                    plans[index:] = strategy.plan_batch(
+                    plans[index:] = self.strategy.plan_batch(
                         graphs[index:], cluster, load=current
                     )
                     for tail in range(index, len(batch)):

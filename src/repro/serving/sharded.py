@@ -267,7 +267,6 @@ class ShardedScheduler:
         runtime = run.runtime
         queues = run.queues
         idle = run.idle
-        dispatched = run.dispatched
         counters = run.counters
         controller = run.controller
         fault_mode = run.fault_mode
@@ -452,7 +451,7 @@ class ShardedScheduler:
                         if fault_mode:
                             batch_avail = cluster.availability_signature()
                         counters["replans"] += 1
-                    dispatched[shard] += 1
+                    run.dispatched[shard] += 1
                     env.process(run.serve(request, plans[index], slot, fresh[index], shard))
 
         def epoch_driver():
@@ -502,7 +501,7 @@ class ShardedScheduler:
             extra_fields=lambda: dict(
                 leader_devices=tuple(leaders),
                 admitted_by_shard=tuple(run.admitted),
-                dispatched_by_shard=tuple(dispatched),
+                dispatched_by_shard=tuple(run.dispatched),
                 stolen_in_by_shard=tuple(stolen_in),
                 stolen_out_by_shard=tuple(stolen_out),
                 readmitted_by_shard=tuple(run.readmitted),
