@@ -3,7 +3,7 @@
 :class:`ServingRun` is one serving run's request lifecycle, shared by
 both schedulers: fault arming, admission (the source process and the
 control plane's door), routing, execution, retry/shed on device loss,
-the control driver, settlement, checkpoint/resume and the
+the controller's wake loop, settlement, checkpoint/resume and the
 :class:`ServingResult`.  A scheduler adds only its dispatchers -- the
 policy that turns queued requests into planned dispatches.
 
@@ -450,7 +450,7 @@ class ServingRun:
             )
             injector.arm()
         self.injector = injector
-        # A zero-event process never arms: no driver process, no gates,
+        # A zero-event process never arms: no injector process, no gates,
         # no trace -- the degenerate pin rides this flag being False.
         self.fault_mode = injector is not None and injector.armed
         self.fault_trace = FaultTrace(self.trace_level) if self.fault_mode else None
@@ -669,9 +669,9 @@ class ServingRun:
         finally:
             self.inflight.release(holder[0])
 
-    def control_driver(self):
+    def wake_loop(self):
         # Ticks on the sim clock, like the sharded scheduler's epoch
-        # driver; stops once the stream settles so a long tail of
+        # loop; stops once the stream settles so a long tail of
         # wakeups never outlives the run's useful work.
         while True:
             yield self.env.timeout(self.control.interval_s)
@@ -682,9 +682,9 @@ class ServingRun:
     # Run -------------------------------------------------------------------
 
     def start(self, dispatchers, drain_shard=None, rescale=None, extra_fields=dict):
-        """Start the source, ``dispatchers`` and the control driver, then
-        run to the end -- or pause at ``checkpoint_at_s`` and return a
-        :class:`RunCheckpoint`.
+        """Start the source, ``dispatchers`` and the controller's wake
+        loop, then run to the end -- or pause at ``checkpoint_at_s`` and
+        return a :class:`RunCheckpoint`.
 
         ``drain_shard``/``rescale`` are the scheduler's breaker-drain and
         elastic-rescale actuators; ``extra_fields()`` returns the result
@@ -705,7 +705,7 @@ class ServingRun:
         for dispatcher in dispatchers:
             env.process(dispatcher)
         if self.controller is not None:
-            env.process(self.control_driver())
+            env.process(self.wake_loop())
         if self.checkpoint_at_s is None:
             return self.finish()
         # Pause: drain the exact event prefix up to the requested time,

@@ -77,13 +77,13 @@ inside every configuration, so fast-path work cannot silently fork
 behaviour in an untested corner.
 
 Everything around the dispatchers -- fault arming, admission, routing,
-execution, retry/shed, the control driver, settlement, checkpointing
-and the result -- is the request lifecycle
+execution, retry/shed, the controller's wake loop, settlement,
+checkpointing and the result -- is the request lifecycle
 :class:`~repro.serving.scheduler.ServingRun`, shared with
 :class:`~repro.serving.scheduler.OnlineScheduler`.  The dispatchers are
 not shared: this module keeps only the sharded policy (priority-sorted
-per-shard dispatch, planning charge, leader election, the epoch driver,
-elastic rescale and work stealing).  With ``num_shards=1``, no priority
+per-shard dispatch, planning charge, leader election, specialization
+epochs, elastic rescale and work stealing).  With ``num_shards=1``, no priority
 spread in the stream, ``planning_overhead="off"`` and
 ``load_view="min"``, its event schedule degenerates to exactly the
 single-leader scheduler's (and with one shard the ``distributed``
@@ -454,14 +454,14 @@ class ShardedScheduler:
                     run.dispatched[shard] += 1
                     env.process(run.serve(request, plans[index], slot, fresh[index], shard))
 
-        def epoch_driver():
+        def epoch_loop():
             # Ticks every epoch_s until the stream settles: each tick
             # re-clusters the observed workload, hands the clustered
             # router its fresh specialist ranking, and (under the epoch
             # leader policy) re-elects every shard's physical leader
             # under the live load snapshot.  Parked dispatchers do not
             # keep the simulation alive, but this timeout does, so the
-            # driver checks settlement first and stops ticking once all
+            # loop checks settlement first and stops ticking once all
             # requests are served, shed or rejected.
             while True:
                 yield env.timeout(self.epoch_s)
@@ -493,7 +493,7 @@ class ShardedScheduler:
 
         processes = [dispatcher(shard) for shard in range(num_shards)]
         if self.epoch_s > 0:
-            processes.append(epoch_driver())
+            processes.append(epoch_loop())
         return run.start(
             processes,
             drain_shard=drain_shard,

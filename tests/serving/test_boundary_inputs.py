@@ -1,10 +1,10 @@
 """Public serving inputs reject NaN and infinity at construction.
 
 A NaN that slips past a ``value <= 0`` check surfaces much later: as
-NaN arrival times and NaN latency percentiles, as a control driver
-crashing on a non-finite timeout, or as a silently disabled epoch
-driver.  Every case below must raise ``ValueError`` where the value is
-passed in.
+NaN arrival times and NaN latency percentiles, as the controller's
+wake loop crashing on a non-finite timeout, or as specialization
+epochs silently switched off.  Every case below must raise
+``ValueError`` where the value is passed in.
 """
 
 import math
@@ -17,7 +17,7 @@ from repro.workloads.arrivals import bursty_stream, heavy_tailed_stream, poisson
 
 MODELS = ("tiny_cnn",)
 
-BUILDERS = {
+FACTORIES = {
     "poisson_stream": lambda **kw: poisson_stream(
         MODELS, **{"rate_rps": 1.0, "num_requests": 3, **kw}
     ),
@@ -34,7 +34,7 @@ BUILDERS = {
     ),
 }
 
-#: (builder, argument) pairs whose value must be finite.
+#: (factory, argument) pairs whose value must be finite.
 FINITE_ARGUMENTS = (
     ("poisson_stream", "rate_rps"),
     ("bursty_stream", "mean_gap_s"),
@@ -58,18 +58,18 @@ FINITE_ARGUMENTS = (
 
 
 @pytest.mark.parametrize(
-    "builder,argument,value",
+    "factory,argument,value",
     [
-        pytest.param(builder, argument, value, id=f"{builder}-{argument}={value}")
-        for builder, argument in FINITE_ARGUMENTS
+        pytest.param(factory, argument, value, id=f"{factory}-{argument}={value}")
+        for factory, argument in FINITE_ARGUMENTS
         for value in (math.nan, math.inf)
     ],
 )
-def test_non_finite_input_rejected(builder, argument, value):
+def test_non_finite_input_rejected(factory, argument, value):
     with pytest.raises(ValueError):
-        BUILDERS[builder](**{argument: value})
+        FACTORIES[factory](**{argument: value})
 
 
-@pytest.mark.parametrize("builder", sorted(BUILDERS))
-def test_defaults_still_accepted(builder):
-    BUILDERS[builder]()
+@pytest.mark.parametrize("factory", sorted(FACTORIES))
+def test_defaults_still_accepted(factory):
+    FACTORIES[factory]()
